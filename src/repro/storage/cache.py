@@ -49,6 +49,8 @@ class PageCache:
         self._files: "OrderedDict[int, _FileEntry]" = OrderedDict()
         self._resident_bytes = 0
         self._dirty_bytes = 0
+        #: Files with any dirty range: none of them is evictable.
+        self._dirty_files = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -63,7 +65,7 @@ class PageCache:
         entry.resident.add(offset, offset + length)
         entry.dirty.add(offset, offset + length)
         self._resident_bytes += entry.bytes_resident() - before
-        self._dirty_bytes += entry.dirty.total() - dirty_before
+        self._account_dirty(entry, dirty_before)
         self._evict_if_needed(exclude=file_id)
 
     def mark_clean(self, file_id: int, offset: int, length: int) -> None:
@@ -72,7 +74,7 @@ class PageCache:
         if entry is not None:
             dirty_before = entry.dirty.total()
             entry.dirty.remove(offset, offset + length)
-            self._dirty_bytes += entry.dirty.total() - dirty_before
+            self._account_dirty(entry, dirty_before)
 
     # -- reads ---------------------------------------------------------------
 
@@ -119,13 +121,16 @@ class PageCache:
         entry = self._files.pop(file_id, None)
         if entry is not None:
             self._resident_bytes -= entry.bytes_resident()
-            self._dirty_bytes -= entry.dirty.total()
+            dirty = entry.dirty.total()
+            self._dirty_bytes -= dirty
+            self._dirty_files -= dirty > 0
 
     def drop_volatile(self) -> None:
         """Crash: all cached state (clean and dirty) is lost."""
         self._files.clear()
         self._resident_bytes = 0
         self._dirty_bytes = 0
+        self._dirty_files = 0
 
     # -- internals ----------------------------------------------------------------
 
@@ -138,19 +143,30 @@ class PageCache:
             self._files.move_to_end(file_id)
         return entry
 
+    def _account_dirty(self, entry: _FileEntry, dirty_before: int) -> None:
+        """``entry``'s dirty total just changed from ``dirty_before``."""
+        dirty_after = entry.dirty.total()
+        self._dirty_bytes += dirty_after - dirty_before
+        self._dirty_files += (dirty_after > 0) - (dirty_before > 0)
+
     def _evict_if_needed(self, exclude: int) -> None:
-        if self.capacity is None or self._resident_bytes <= self.capacity:
+        capacity = self.capacity
+        if capacity is None or self._resident_bytes <= capacity:
             return
+        if self._dirty_files == len(self._files):
+            return  # nothing clean to drop
         # One pass in LRU order; dirty files and the protected file are
         # skipped (dirty data is never dropped silently).
-        for victim_id in list(self._files):
-            if self._resident_bytes <= self.capacity:
+        victims = []
+        resident = self._resident_bytes
+        for victim_id, victim in self._files.items():
+            if victim_id == exclude or victim.dirty:
+                continue
+            victims.append(victim_id)
+            resident -= victim.bytes_resident()
+            if resident <= capacity:
                 break
-            if victim_id == exclude:
-                continue
-            victim = self._files[victim_id]
-            if victim.dirty:
-                continue
+        for victim_id in victims:
             del self._files[victim_id]
-            self._resident_bytes -= victim.bytes_resident()
-            self.evictions += 1
+        self._resident_bytes = resident
+        self.evictions += len(victims)

@@ -178,6 +178,10 @@ class DiskArray:
         #: bounding how long a synchronous writer or a reader can stall
         #: behind the other class.
         self.write_starvation_limit = 1
+        #: Per spindle: have its queued requests changed since its last
+        #: poll?  An idle spindle with the flag clear knows, without
+        #: looking, that no queue holds anything new for it.
+        self._changed = [True] * n
         self._wakeups = [env.event() for _ in range(n)]
         self._processes = [
             env.process(self._serve(spindle), name=f"spindle-{spindle}")
@@ -268,8 +272,11 @@ class DiskArray:
     def attach(self, scheduler: ElevatorScheduler) -> None:
         """Register a client's elevator queue with the array."""
         scheduler.on_submit = self._notify
+        scheduler.on_drop = self._mark_changed
         scheduler.set_spindle_map(self._spindle_of)
         self._schedulers.append(scheduler)
+        # The queue may arrive with requests already in it.
+        self._mark_changed(range(self.params.num_spindles))
 
     def attach_group(self, group) -> None:
         """Arm a replicated storage group: every completed WRITE fans
@@ -277,31 +284,40 @@ class DiskArray:
         slowest live secondary's ack gates the completion."""
         self.group = group
 
-    def _notify(self) -> None:
+    def _mark_changed(self, spindles: _t.Iterable[int]) -> None:
+        for spindle in spindles:
+            self._changed[spindle] = True
+
+    def _notify(self, spindles: _t.Iterable[int]) -> None:
+        """Some queue changed what it holds for ``spindles``.
+
+        Every idle spindle is woken, not just those: which events exist
+        and in what order is part of the model's observable behaviour
+        (see DESIGN 2.2).  The untouched ones go back to sleep without
+        polling.
+        """
+        self._mark_changed(spindles)
         for wakeup in self._wakeups:
             if not wakeup.triggered:
                 wakeup.succeed()
 
     # -- service loops -----------------------------------------------------------
 
-    def _pop_rr(
-        self, spindle: int, op: _t.Optional[str]
-    ) -> _t.Optional[BlockRequest]:
-        """One round-robin pass over client queues for ``op`` requests."""
+    def _pop_rr(self, spindle: int, op: str) -> _t.Optional[BlockRequest]:
+        """One round-robin pass over the client queues holding ``op``
+        requests for ``spindle``."""
         schedulers = self._schedulers
         n = len(schedulers)
-        spindle_of = self._spindle_of
         head = self._heads[spindle]
         write_plug = self.params.write_plug
         base = self._rr_index[spindle]
         for offset in range(n):
             idx = (base + offset) % n
-            request = schedulers[idx].pop_next_for_spindle(
-                head,
-                spindle,
-                spindle_of,
-                op=op,
-                write_plug=write_plug,
+            scheduler = schedulers[idx]
+            if not scheduler.has_request_for_spindle(spindle, op):
+                continue
+            request = scheduler.pop_next_for_spindle(
+                head, spindle, op=op, write_plug=write_plug
             )
             if request is not None:
                 self._rr_index[spindle] = (idx + 1) % n
@@ -318,7 +334,10 @@ class DiskArray:
         ``write_starvation_limit`` consecutive reads, when one write
         round is forced.
         """
-        if self._read_streak[spindle] >= self.write_starvation_limit:
+        writes_first = (
+            self._read_streak[spindle] >= self.write_starvation_limit
+        )
+        if writes_first:
             request = self._pop_rr(spindle, WRITE)
             if request is not None:
                 self._read_streak[spindle] = 0
@@ -327,41 +346,52 @@ class DiskArray:
         if request is not None:
             self._read_streak[spindle] += 1
             return request
-        request = self._pop_rr(spindle, None)
-        if request is not None:
-            self._read_streak[spindle] = 0
+        if not writes_first:
+            request = self._pop_rr(spindle, WRITE)
+            if request is not None:
+                self._read_streak[spindle] = 0
         return request
 
-    def _earliest_plug_expiry(self, spindle: int) -> _t.Optional[float]:
-        earliest: _t.Optional[float] = None
-        spindle_of = self._spindle_of
-        write_plug = self.params.write_plug
-        for sched in self._schedulers:
-            ready = sched.earliest_plug_expiry(
-                spindle, spindle_of, write_plug
-            )
-            if ready is not None and (earliest is None or ready < earliest):
-                earliest = ready
-        return earliest
+    def _oldest_plugged_submit(self, spindle: int) -> _t.Optional[float]:
+        oldest: _t.Optional[float] = None
+        for scheduler in self._schedulers:
+            submit = scheduler.oldest_plugged_submit(spindle)
+            if submit is not None and (oldest is None or submit < oldest):
+                oldest = submit
+        return oldest
 
     def _serve(self, spindle: int) -> _t.Generator:
         env = self.env
+        write_plug = self.params.write_plug
+        changed = self._changed
         while True:
+            changed[spindle] = False
             request = self._next_request(spindle)
             if request is None:
                 # Nothing dispatchable.  Sleep until a new submission
                 # arrives -- or, if plugged writes are pending, until the
                 # oldest unplugs, whichever comes first (a newly arrived
-                # sync request must not wait out a write plug).
-                self._wakeups[spindle] = env.event()
-                plug_ready = self._earliest_plug_expiry(spindle)
-                if plug_ready is not None:
-                    delay = max(0.0, plug_ready - env.now) + 1e-9
-                    yield env.any_of(
-                        [env.timeout(delay), self._wakeups[spindle]]
-                    )
-                else:
-                    yield self._wakeups[spindle]
+                # sync request must not wait out a write plug).  Only a
+                # change to this spindle's requests or that plug running
+                # out can make the next poll find something, so every
+                # other wake-up re-arms the same timer and sleeps on.
+                oldest = self._oldest_plugged_submit(spindle)
+                while True:
+                    self._wakeups[spindle] = env.event()
+                    if oldest is not None:
+                        plug_ready = oldest + write_plug
+                        delay = max(0.0, plug_ready - env.now) + 1e-9
+                        yield env.any_of(
+                            [env.timeout(delay), self._wakeups[spindle]]
+                        )
+                        # The elevator's own plug test, so both agree
+                        # on the instant the write becomes dispatchable.
+                        if not env.now - oldest < write_plug:
+                            break
+                    else:
+                        yield self._wakeups[spindle]
+                    if changed[spindle]:
+                        break
                 continue
 
             fenced = self.write_fenced(request)

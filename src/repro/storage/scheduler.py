@@ -176,23 +176,34 @@ class ElevatorScheduler:
         self._queue: _t.List[BlockRequest] = []
         self._starts: _t.List[int] = []
         self.stats = SchedulerStats()
-        #: Called (with no args) whenever a request becomes available.
-        self.on_submit: _t.Optional[_t.Callable[[], None]] = None
+        #: Called with the spindles whose queued requests just changed
+        #: (a submission, a merge, an expedite) whenever a request may
+        #: have become available.
+        self.on_submit: _t.Optional[
+            _t.Callable[[_t.Iterable[int]], None]
+        ] = None
+        #: Like :attr:`on_submit` for a change that makes nothing
+        #: available and so wakes nobody (:meth:`drop_all`).
+        self.on_drop: _t.Optional[
+            _t.Callable[[_t.Iterable[int]], None]
+        ] = None
         #: The owning array's striping function (see
-        #: :meth:`set_spindle_map`); ``None`` for standalone schedulers.
+        #: :meth:`set_spindle_map`); ``None`` for standalone schedulers,
+        #: which only support :meth:`pop_next`.
         self.spindle_map: _t.Optional[_t.Callable[[int], int]] = None
         #: Per-spindle views of the queue (parallel start/request lists,
-        #: each sorted by start), maintained only when a spindle map is
-        #: installed.  The per-spindle service loops then scan just
-        #: their own spindle's requests instead of the whole queue --
-        #: with 16 spindles and deep 10k-client queues the full-queue
-        #: scans dominated the profile.  Purely an accelerator: within
+        #: each sorted by start) and the number of reads in each,
+        #: maintained once a spindle map is installed.  The per-spindle
+        #: service loops scan just their own spindle's requests, and
+        #: skip a queue with no request of the class they want.  Within
         #: one spindle the view preserves the main queue's order (same
-        #: bisect policy), so every pick is identical to a filtered scan.
+        #: bisect policy), so every pick is identical to a filtered scan
+        #: of the whole queue.
         self._sp_queue: _t.Optional[_t.Dict[int, _t.List[BlockRequest]]] = (
             None
         )
         self._sp_starts: _t.Dict[int, _t.List[int]] = {}
+        self._sp_reads: _t.Dict[int, int] = {}
 
     def set_spindle_map(
         self, spindle_of: _t.Callable[[int], int]
@@ -200,12 +211,12 @@ class ElevatorScheduler:
         """Install the array's address->spindle function.
 
         Caches each queued request's spindle and starts maintaining the
-        per-spindle queue views.  Scans behave identically, they just
-        stop visiting other spindles' requests.
+        per-spindle queue views the ``*_for_spindle`` methods need.
         """
         self.spindle_map = spindle_of
         sp_queue: _t.Dict[int, _t.List[BlockRequest]] = {}
         sp_starts: _t.Dict[int, _t.List[int]] = {}
+        sp_reads: _t.Dict[int, int] = {}
         # The main queue is sorted by start, so appending in order
         # leaves every per-spindle view sorted with the same relative
         # order among equal starts.
@@ -214,8 +225,11 @@ class ElevatorScheduler:
             request.spindle = sp
             sp_queue.setdefault(sp, []).append(request)
             sp_starts.setdefault(sp, []).append(request.start)
+            if request.op == READ:
+                sp_reads[sp] = sp_reads.get(sp, 0) + 1
         self._sp_queue = sp_queue
         self._sp_starts = sp_starts
+        self._sp_reads = sp_reads
 
     def _spindle_of(self, request: BlockRequest) -> int:
         sp = request.spindle
@@ -228,6 +242,8 @@ class ElevatorScheduler:
         if table is None:
             return
         sp = self._spindle_of(request)
+        if request.op == READ:
+            self._sp_reads[sp] = self._sp_reads.get(sp, 0) + 1
         reqs = table.get(sp)
         if reqs is None:
             table[sp] = [request]
@@ -245,6 +261,8 @@ class ElevatorScheduler:
         if table is None:
             return
         sp = self._spindle_of(request)
+        if request.op == READ:
+            self._sp_reads[sp] -= 1
         reqs = table[sp]
         starts = self._sp_starts[sp]
         idx = bisect.bisect_left(starts, request.start)
@@ -267,17 +285,25 @@ class ElevatorScheduler:
         self.stats.submitted += 1
         self.stats.bytes_submitted += request.length
 
-        if not self._try_merge(request):
+        touched = self._try_merge(request)
+        if touched is None:
             idx = bisect.bisect_left(self._starts, request.start)
             self._queue.insert(idx, request)
             self._starts.insert(idx, request.start)
             self._sp_add(request)
+            touched = (request.spindle,)
 
         if self.on_submit is not None:
-            self.on_submit()
+            self.on_submit(touched)
 
-    def _try_merge(self, request: BlockRequest) -> bool:
-        """Attempt a back- or front-merge with a queued request."""
+    def _try_merge(
+        self, request: BlockRequest
+    ) -> _t.Optional[_t.Tuple[_t.Optional[int], ...]]:
+        """Attempt a back- or front-merge with a queued request.
+
+        Returns the spindles whose views the merge touched, or ``None``
+        if ``request`` merged with nothing.
+        """
         # Back merge: queued request ends where the new one starts.
         idx = bisect.bisect_right(self._starts, request.start) - 1
         if 0 <= idx < len(self._queue):
@@ -292,7 +318,7 @@ class ElevatorScheduler:
                 head.length += request.length
                 self.stats.merges += 1
                 self._record_merge(request, head, "back")
-                return True
+                return (head.spindle,)
 
         # Front merge: new request ends where a queued one starts.
         idx = bisect.bisect_left(self._starts, request.end)
@@ -316,9 +342,11 @@ class ElevatorScheduler:
                 self._sp_add(request)
                 self.stats.merges += 1
                 self._record_merge(tail, request, "front")
-                return True
+                # The pair now belongs to the spindle of the new start,
+                # which a merge across a stripe boundary changes.
+                return (request.spindle, tail.spindle)
 
-        return False
+        return None
 
     def _record_merge(
         self, absorbed: BlockRequest, into: BlockRequest, kind: str
@@ -367,19 +395,23 @@ class ElevatorScheduler:
         queue.pop(idx)
         self._starts.pop(idx)
 
+    def _view(self, spindle_id: int) -> _t.Optional[_t.List[BlockRequest]]:
+        """The queued requests owned by one spindle, sorted by start."""
+        if self._sp_queue is None:
+            raise RuntimeError("install a spindle map first")
+        return self._sp_queue.get(spindle_id)
+
     def pop_next_for_spindle(
         self,
         head_position: int,
         spindle_id: int,
-        spindle_of: _t.Callable[[int], int],
         op: _t.Optional[str] = None,
         write_plug: float = 0.0,
     ) -> _t.Optional[BlockRequest]:
         """Deadline-then-C-LOOK pop restricted to one spindle's requests.
 
-        ``spindle_of`` maps a start address to its owning spindle (the
-        array's striping function); a request belongs to the spindle of
-        its start address.  Requests past their deadline are served
+        A request belongs to the spindle of its start address under the
+        installed spindle map.  Requests past their deadline are served
         oldest-first before the sweep continues.  ``op`` restricts the
         pick to reads or writes (the array uses this for its global read
         preference).  ``write_plug`` holds writes younger than the given
@@ -387,20 +419,10 @@ class ElevatorScheduler:
         burst of contiguous submissions coalesce before dispatch.
         Returns ``None`` when no matching request is queued.
         """
-        indexed = (
-            self._sp_queue is not None and spindle_of is self.spindle_map
-        )
-        if indexed:
-            # Scan only this spindle's view of the queue.  Within one
-            # spindle the view's order matches the main queue's, so the
-            # pick is identical to the old filtered full-queue scan.
-            queue = self._sp_queue.get(spindle_id)
-            if not queue:
-                return None
-            starts = self._sp_starts[spindle_id]
-        else:
-            queue = self._queue
-            starts = self._starts
+        queue = self._view(spindle_id)
+        if not queue:
+            return None
+        starts = self._sp_starts[spindle_id]
         now = self.env.now
         read_deadline = self.read_deadline
         write_deadline = self.write_deadline
@@ -411,12 +433,6 @@ class ElevatorScheduler:
         for idx, (start, request) in enumerate(zip(starts, queue)):
             if op is not None and request.op != op:
                 continue
-            if not indexed:
-                sp = request.spindle
-                if sp is None:
-                    sp = request.spindle = spindle_of(start)
-                if sp != spindle_id:
-                    continue
             submit_time = request.submit_time
             if (
                 write_plug > 0.0
@@ -444,56 +460,33 @@ class ElevatorScheduler:
             return None
         request = queue.pop(idx)
         starts.pop(idx)
-        if indexed:
-            self._main_remove(request)
-        else:
-            self._sp_remove(request)
+        if request.op == READ:
+            self._sp_reads[spindle_id] -= 1
+        self._main_remove(request)
         self.stats.dispatched += 1
         self.stats.dispatched_submissions += request.count_all()
         return request
 
     def has_request_for_spindle(
-        self, spindle_id: int, spindle_of: _t.Callable[[int], int]
+        self, spindle_id: int, op: _t.Optional[str] = None
     ) -> bool:
-        table = self._sp_queue
-        if table is not None and spindle_of is self.spindle_map:
-            return bool(table.get(spindle_id))
-        return any(
-            spindle_of(start) == spindle_id for start in self._starts
-        )
+        """Whether any request (of class ``op``) is queued for the spindle."""
+        queue = self._view(spindle_id)
+        if not queue or op is None:
+            return bool(queue)
+        reads = self._sp_reads.get(spindle_id, 0)
+        return reads > 0 if op == READ else reads < len(queue)
 
-    def earliest_plug_expiry(
-        self,
-        spindle_id: int,
-        spindle_of: _t.Callable[[int], int],
-        write_plug: float,
-    ) -> _t.Optional[float]:
-        """When the oldest plugged write for this spindle becomes
-        dispatchable, or ``None`` if none are queued."""
-        table = self._sp_queue
-        indexed = table is not None and spindle_of is self.spindle_map
-        if indexed:
-            queue = table.get(spindle_id)
-            if not queue:
-                return None
-        else:
-            queue = self._queue
-        earliest: _t.Optional[float] = None
-        for request in queue:
-            if request.op != WRITE:
-                continue
-            if not indexed:
-                sp = request.spindle
-                if sp is None:
-                    sp = request.spindle = spindle_of(request.start)
-                if sp != spindle_id:
-                    continue
-            if request.sync:
-                continue  # dispatchable already
-            ready = request.submit_time + write_plug
-            if earliest is None or ready < earliest:
-                earliest = ready
-        return earliest
+    def oldest_plugged_submit(self, spindle_id: int) -> _t.Optional[float]:
+        """Submit time of the oldest async write queued for this spindle
+        (the one whose plug expires first), or ``None`` without any."""
+        oldest: _t.Optional[float] = None
+        for request in self._view(spindle_id) or ():
+            if request.op != WRITE or request.sync:
+                continue  # never plugged: dispatchable already
+            if oldest is None or request.submit_time < oldest:
+                oldest = request.submit_time
+        return oldest
 
     def drop_all(self) -> int:
         """Discard every queued request (single-node death).
@@ -508,27 +501,31 @@ class ElevatorScheduler:
         self._queue.clear()
         self._starts.clear()
         if self._sp_queue is not None:
+            touched = [sp for sp, reqs in self._sp_queue.items() if reqs]
             self._sp_queue.clear()
             self._sp_starts.clear()
+            self._sp_reads.clear()
+            if touched and self.on_drop is not None:
+                self.on_drop(touched)
         return dropped
 
     def expedite_file(self, file_id: int) -> None:
         """Unplug every queued write of ``file_id`` (fsync kicks
         writeback: plugged async writes become dispatchable at once)."""
-        changed = False
+        touched = set()
         for request in self._queue:
             if request.file_id == file_id and request.op == WRITE:
                 request.sync = True
-                changed = True
-        if changed and self.on_submit is not None:
-            self.on_submit()
+                touched.add(request.spindle)
+        if touched and self.on_submit is not None:
+            self.on_submit(touched)
 
     def expedite_all_writes(self) -> None:
         """Unplug everything (memory-pressure writeback kick)."""
-        changed = False
+        touched = set()
         for request in self._queue:
             if request.op == WRITE and not request.sync:
                 request.sync = True
-                changed = True
-        if changed and self.on_submit is not None:
-            self.on_submit()
+                touched.add(request.spindle)
+        if touched and self.on_submit is not None:
+            self.on_submit(touched)

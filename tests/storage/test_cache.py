@@ -1,6 +1,8 @@
 """Tests for the client page cache."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.storage.cache import PageCache
 
@@ -111,3 +113,58 @@ def test_overlapping_writes_account_once():
     cache.write(1, 0, 8192)
     cache.write(1, 4096, 8192)
     assert cache.resident_bytes == 12288
+
+
+class _ReferenceCache(PageCache):
+    """The eviction pass as first written: copy the LRU order, test
+    every file ahead of the first clean one.  Defines which files go."""
+
+    def _evict_if_needed(self, exclude):
+        if self.capacity is None or self._resident_bytes <= self.capacity:
+            return
+        for victim_id in list(self._files):
+            if self._resident_bytes <= self.capacity:
+                break
+            if victim_id == exclude:
+                continue
+            victim = self._files[victim_id]
+            if victim.dirty:
+                continue
+            del self._files[victim_id]
+            self._resident_bytes -= victim.bytes_resident()
+            self.evictions += 1
+
+
+_CACHE_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["write", "fill", "mark_clean", "read_hit", "drop_file"]
+        ),
+        st.integers(0, 7),  # file
+        st.integers(0, 3),  # page
+        st.integers(0, 3),  # pages (0: an empty range)
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_CACHE_OPS, st.integers(1, 12))
+def test_eviction_matches_the_reference_pass(ops, capacity_pages):
+    page = 4096
+    cache = PageCache(capacity_pages * page)
+    reference = _ReferenceCache(capacity_pages * page)
+    for name, file_id, first, pages in ops:
+        for target in (cache, reference):
+            if name == "drop_file":
+                target.drop_file(file_id)
+            else:
+                getattr(target, name)(file_id, first * page, pages * page)
+        # Same victims, same survivors in the same LRU order.
+        assert list(cache._files) == list(reference._files)
+        assert cache.evictions == reference.evictions
+        assert cache.resident_bytes == reference.resident_bytes
+        assert cache.dirty_bytes == reference.dirty_bytes
+        assert cache._dirty_files == sum(
+            1 for entry in cache._files.values() if entry.dirty
+        )

@@ -131,11 +131,24 @@ def test_pop_empty_raises(sched):
 
 
 def test_on_submit_callback(env, sched):
+    stripe = 64 * 1024
+    sched.set_spindle_map(lambda start: start // stripe)
     calls = []
-    sched.on_submit = lambda: calls.append(1)
+    sched.on_submit = lambda spindles: calls.append(sorted(spindles))
     sched.submit(make_request(env, 0, 4096))
     sched.submit(make_request(env, 4096, 4096))  # merges, still notifies
-    assert len(calls) == 2
+    assert calls == [[0], [0]]
+    # A front merge across the stripe boundary moves the pair to the new
+    # start's spindle: both are reported.
+    sched.submit(make_request(env, stripe, 4096))
+    sched.submit(make_request(env, stripe - 4096, 4096))
+    assert calls[2:] == [[1], [0, 1]]
+    assert not sched.has_request_for_spindle(1)
+    # drop_all reports through on_drop, never on_submit (nothing to wake).
+    drops = []
+    sched.on_drop = lambda spindles: drops.append(sorted(spindles))
+    assert sched.drop_all() == 2
+    assert drops == [[0]] and len(calls) == 4
 
 
 def test_merge_ratio_with_no_traffic(sched):

@@ -25,15 +25,22 @@ def one_spindle(_start):
     return 0
 
 
+def make_sched(env, spindle_of=one_spindle, **kw):
+    """A scheduler with the spindle map an array would install."""
+    sched = ElevatorScheduler(env, 0, **kw)
+    sched.set_spindle_map(spindle_of)
+    return sched
+
+
 @pytest.fixture
 def env():
     return Environment()
 
 
 def test_plug_holds_young_async_writes(env):
-    sched = ElevatorScheduler(env, 0)
+    sched = make_sched(env)
     sched.submit(make_request(env, 0))
-    got = sched.pop_next_for_spindle(0, 0, one_spindle, write_plug=0.01)
+    got = sched.pop_next_for_spindle(0, 0, write_plug=0.01)
     assert got is None  # plugged
 
     def later(env):
@@ -41,50 +48,73 @@ def test_plug_holds_young_async_writes(env):
 
     env.process(later(env))
     env.run()
-    got = sched.pop_next_for_spindle(0, 0, one_spindle, write_plug=0.01)
+    got = sched.pop_next_for_spindle(0, 0, write_plug=0.01)
     assert got is not None  # plug expired
 
 
 def test_sync_writes_never_plugged(env):
-    sched = ElevatorScheduler(env, 0)
+    sched = make_sched(env)
     sched.submit(make_request(env, 0, sync=True))
-    got = sched.pop_next_for_spindle(0, 0, one_spindle, write_plug=0.01)
+    got = sched.pop_next_for_spindle(0, 0, write_plug=0.01)
     assert got is not None
 
 
 def test_reads_never_plugged(env):
-    sched = ElevatorScheduler(env, 0)
+    sched = make_sched(env)
     sched.submit(make_request(env, 0, op=READ, sync=True))
     got = sched.pop_next_for_spindle(
-        0, 0, one_spindle, op=READ, write_plug=0.01
+        0, 0, op=READ, write_plug=0.01
     )
     assert got is not None
 
 
 def test_op_filter(env):
-    sched = ElevatorScheduler(env, 0)
+    sched = make_sched(env)
     sched.submit(make_request(env, 0, op="write", sync=True))
     sched.submit(make_request(env, 8192, op=READ))
-    got = sched.pop_next_for_spindle(0, 0, one_spindle, op=READ)
+    got = sched.pop_next_for_spindle(0, 0, op=READ)
     assert got.op == READ
-    got = sched.pop_next_for_spindle(0, 0, one_spindle, op="write")
+    got = sched.pop_next_for_spindle(0, 0, op="write")
     assert got.op == "write"
 
 
 def test_spindle_filter(env):
-    sched = ElevatorScheduler(env, 0)
+    sched = make_sched(env, lambda start: start // (1 << 20))
     sched.submit(make_request(env, 0, sync=True))
     sched.submit(make_request(env, 1 << 20, sync=True))
-    by_mb = lambda start: start // (1 << 20)  # noqa: E731
-    got = sched.pop_next_for_spindle(0, 1, by_mb)
+    got = sched.pop_next_for_spindle(0, 1)
     assert got.start == 1 << 20
-    assert sched.pop_next_for_spindle(0, 1, by_mb) is None
-    assert sched.has_request_for_spindle(0, by_mb)
-    assert not sched.has_request_for_spindle(1, by_mb)
+    assert sched.pop_next_for_spindle(0, 1) is None
+    assert sched.has_request_for_spindle(0)
+    assert not sched.has_request_for_spindle(1)
+
+
+def test_has_request_by_class(env):
+    sched = make_sched(env)
+    assert not sched.has_request_for_spindle(0, READ)
+    sched.submit(make_request(env, 0))
+    assert sched.has_request_for_spindle(0, "write")
+    assert not sched.has_request_for_spindle(0, READ)
+    sched.submit(make_request(env, 8192, op=READ))
+    assert sched.has_request_for_spindle(0, READ)
+    assert sched.pop_next_for_spindle(0, 0, op=READ).op == READ
+    assert not sched.has_request_for_spindle(0, READ)
+    sched.drop_all()
+    assert not sched.has_request_for_spindle(0)
+
+
+def test_spindle_methods_need_the_map(env):
+    sched = ElevatorScheduler(env, 0)
+    sched.submit(make_request(env, 0, sync=True))
+    with pytest.raises(RuntimeError):
+        sched.pop_next_for_spindle(0, 0)
+    # Installing the map indexes what is already queued.
+    sched.set_spindle_map(one_spindle)
+    assert sched.pop_next_for_spindle(0, 0) is not None
 
 
 def test_expired_request_served_first(env):
-    sched = ElevatorScheduler(env, 0, read_deadline=0.01)
+    sched = make_sched(env, read_deadline=0.01)
     old = make_request(env, 1 << 30, op=READ)  # far away, will expire
     sched.submit(old)
 
@@ -94,34 +124,40 @@ def test_expired_request_served_first(env):
 
     env.process(later(env))
     env.run()
-    got = sched.pop_next_for_spindle(0, 0, one_spindle)
+    got = sched.pop_next_for_spindle(0, 0)
     assert got is old  # expired beats C-LOOK order
 
 
-def test_earliest_plug_expiry(env):
-    sched = ElevatorScheduler(env, 0)
-    assert sched.earliest_plug_expiry(0, one_spindle, 0.01) is None
+def test_oldest_plugged_submit(env):
+    sched = make_sched(env)
+    assert sched.oldest_plugged_submit(0) is None
     sched.submit(make_request(env, 0))
-    assert sched.earliest_plug_expiry(0, one_spindle, 0.01) == pytest.approx(
-        0.01
-    )
+
+    def later(env):
+        yield env.timeout(0.02)
+        sched.submit(make_request(env, 1 << 20))
+
+    env.process(later(env))
+    env.run()
+    assert sched.oldest_plugged_submit(0) == 0.0
     # Sync requests do not count (already dispatchable).
-    sched2 = ElevatorScheduler(env, 0)
+    sched2 = make_sched(env)
     sched2.submit(make_request(env, 0, sync=True))
-    assert sched2.earliest_plug_expiry(0, one_spindle, 0.01) is None
+    assert sched2.oldest_plugged_submit(0) is None
 
 
 def test_expedite_file_unplugs(env):
-    sched = ElevatorScheduler(env, 0)
+    sched = make_sched(env)
     notified = []
-    sched.on_submit = lambda: notified.append(1)
+    sched.on_submit = notified.append
     sched.submit(make_request(env, 0, file_id=7))
     sched.submit(make_request(env, 1 << 20, file_id=8))
     sched.expedite_file(7)
-    got = sched.pop_next_for_spindle(0, 0, one_spindle, write_plug=1.0)
+    got = sched.pop_next_for_spindle(0, 0, write_plug=1.0)
     assert got is not None and got.file_id == 7
     # File 8 remains plugged.
     assert (
-        sched.pop_next_for_spindle(0, 0, one_spindle, write_plug=1.0) is None
+        sched.pop_next_for_spindle(0, 0, write_plug=1.0) is None
     )
-    assert len(notified) >= 3  # two submits + expedite
+    assert len(notified) == 3  # two submits + expedite
+    assert [set(touched) for touched in notified] == [{0}, {0}, {0}]

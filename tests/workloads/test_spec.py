@@ -84,6 +84,44 @@ def test_pick_file_prefer_remote():
         assert entry[0] == 1  # always the remote client's file
 
 
+def test_pick_file_prefer_remote_draws_like_a_choice_over_the_remotes():
+    """A remote pick is one ``rng.choice`` over the remote entries in
+    registry order -- one draw, that entry -- through interleaved
+    registrations and deletions.  RNG streams and block traces hang on
+    it, so a cheaper pick must keep it."""
+    env = Environment()
+    shared = {}
+    ctxs = [make_ctx(env, i, shared) for i in range(3)]
+    twins = [make_ctx(env, i) for i in range(3)]  # same streams
+    file_id = 0
+    for round_ in range(40):
+        for ctx in ctxs:
+            ctx.in_setup = round_ < 20
+            file_id += 1
+            Workload.register_file(ctx, file_id, 100)
+        if round_ % 3 == 2:
+            victim = Workload.registry(ctxs[1])[(5 * round_) % 8]
+            Workload.unregister_file(ctxs[1], victim)
+        for ctx, twin in zip(ctxs, twins):
+            for seeds_only in (False, True):
+                view = (
+                    Workload.seed_registry(ctx)
+                    if seeds_only
+                    else Workload.registry(ctx)
+                )
+                expected = twin.rng.choice(
+                    [e for e in view if e[0] != ctx.client_index]
+                )
+                picked = Workload.pick_file(
+                    ctx, prefer_remote=True, seeds_only=seeds_only
+                )
+                assert picked is expected
+    # Only own files registered: falls back to the whole registry.
+    lone = make_ctx(env, 5)
+    Workload.register_file(lone, 1, 100)
+    assert Workload.pick_file(lone, prefer_remote=True)[0] == 5
+
+
 def test_pick_file_seeds_only():
     env = Environment()
     ctx = make_ctx(env)
