@@ -88,24 +88,33 @@ class FrameDecoder:
         self._buf = bytearray()
 
     def feed(self, data: bytes) -> _t.List[_t.Any]:
-        self._buf.extend(data)
+        buf = self._buf
+        buf.extend(data)
         frames: _t.List[_t.Any] = []
-        while True:
-            if len(self._buf) < _LEN.size:
-                return frames
-            (length,) = _LEN.unpack_from(self._buf)
-            if length > MAX_FRAME:
-                raise FrameError(
-                    f"frame length {length} exceeds {MAX_FRAME}"
-                )
-            if len(self._buf) < _LEN.size + length:
-                return frames
-            body = bytes(self._buf[_LEN.size : _LEN.size + length])
-            del self._buf[: _LEN.size + length]
-            try:
-                frames.append(json.loads(body.decode("utf-8")))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise FrameError(f"undecodable frame body: {exc}") from exc
+        end = len(buf)
+        pos = 0
+        # Walk an offset and trim once: a chunk routinely carries many
+        # frames, and deleting each from the front is quadratic in them.
+        try:
+            while end - pos >= _LEN.size:
+                (length,) = _LEN.unpack_from(buf, pos)
+                if length > MAX_FRAME:
+                    raise FrameError(
+                        f"frame length {length} exceeds {MAX_FRAME}"
+                    )
+                start = pos + _LEN.size
+                if end - start < length:
+                    break
+                pos = start + length
+                try:
+                    frames.append(json.loads(buf[start:pos].decode("utf-8")))
+                except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                    raise FrameError(
+                        f"undecodable frame body: {exc}"
+                    ) from exc
+        finally:
+            del buf[:pos]
+        return frames
 
     @property
     def pending_bytes(self) -> int:

@@ -12,7 +12,7 @@ of the virtual calendar.  Only the edges are substrate-specific:
 - a per-connection reply transport (registered with the port under the
   requesting client's id, the rt analogue of
   :meth:`RpcServerPort.register`) frames replies back down the same
-  socket;
+  socket, one write per loop tick (:mod:`repro.rt.framing`);
 - a ``ctl`` channel answers ping/stats and performs the shutdown dump.
 
 On shutdown the shard persists its durable state -- namespace, commit
@@ -46,6 +46,7 @@ from repro.net.wire import (
 )
 from repro.core.kernel.events import Event
 from repro.rt.effects import AsyncioEffects
+from repro.rt.framing import FrameWriter, WireCounters
 
 __all__ = ["ShardConfig", "serve_shard", "dump_shard_state"]
 
@@ -172,23 +173,20 @@ class _ConnReplyTransport:
     """Reply path for one client connection (``RpcServerPort.reply``
     routes through whatever transport is registered per client id)."""
 
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
-        self.writer = writer
+    def __init__(self, outbound: FrameWriter) -> None:
+        self.outbound = outbound
 
     def send_reply(self, message: _t.Any) -> None:
-        if self.writer.is_closing():
-            # Client went away: the reply is lost on the wire, exactly
-            # like a downlink drop; the client's retry recovers it.
-            return
-        self.writer.write(
-            encode_frame(
-                {
-                    "frame": "reply",
-                    "client_id": message.client_id,
-                    "xid": message.xid,
-                    "result": result_to_wire(message.result),
-                }
-            )
+        # If the client went away the frame writer swallows the reply:
+        # lost on the wire, exactly like a downlink drop; the client's
+        # retry recovers it.
+        self.outbound.send(
+            {
+                "frame": "reply",
+                "client_id": message.client_id,
+                "xid": message.xid,
+                "result": result_to_wire(message.result),
+            }
         )
 
 
@@ -202,12 +200,14 @@ async def serve_shard(
     stop = asyncio.Event()
     request_counter = [0]
     dropped = [0]
+    wire = WireCounters()  # over every client connection
 
     async def handle_connection(
         reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         decoder = FrameDecoder()
-        reply_transport = _ConnReplyTransport(writer)
+        outbound = FrameWriter(env.loop, writer, wire)
+        reply_transport = _ConnReplyTransport(outbound)
         try:
             while True:
                 data = await reader.read(65536)
@@ -240,6 +240,7 @@ async def serve_shard(
         except (asyncio.CancelledError, ConnectionError):
             return
         finally:
+            outbound.flush()
             try:
                 writer.close()
             except (ConnectionError, OSError):
@@ -257,6 +258,7 @@ async def serve_shard(
                 "shard": config.shard,
                 "stats": dump_shard_state(server, config)["stats"],
                 "requests_dropped": dropped[0],
+                "wire": wire.as_dict(),
             }
         elif op == "shutdown":
             dump = dump_shard_state(server, config)

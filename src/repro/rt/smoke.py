@@ -187,6 +187,12 @@ async def run_smoke(config: SmokeConfig) -> _t.Dict[str, _t.Any]:
         dumps, config.volume_path, expectations, config
     )
     report["shard_stats"] = stats
+    report["transport_stats"] = dict(
+        transport.wire.as_dict(),
+        requests_sent=transport.requests_sent,
+        replies_received=transport.replies_received,
+        unmatched_replies=transport.unmatched_replies,
+    )
     report["client_stats"] = [
         {
             "client_id": client.client_id,

@@ -7,8 +7,9 @@ attribute, so :class:`repro.net.rpc.RpcClient` and the whole protocol
 stack above it (commit queue, daemon pool, compound controller) plug in
 unmodified.  Requests are routed per message by the deterministic
 :class:`~repro.mds.sharding.ShardRouter` -- the same arithmetic the
-simulator uses -- then framed (:mod:`repro.net.wire`) and written to the
-owning shard's socket.
+simulator uses -- then framed (:mod:`repro.net.wire`) and handed to the
+owning shard connection's :class:`~repro.rt.framing.FrameWriter`, which
+puts all the frames of one loop tick on the socket in one write.
 
 Replies are matched by ``(client_id, xid)``.  A retransmitted request
 reuses its xid (what makes server-side duplicate suppression work), so
@@ -30,6 +31,7 @@ from repro.net.wire import (
     request_to_wire,
     result_from_wire,
 )
+from repro.rt.framing import FrameWriter, WireCounters
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.rt.effects import AsyncioEffects
@@ -61,9 +63,11 @@ class RtClusterTransport:
         self.router = router
         self.uplink = _NullUplink()
         self.downlink = _NullUplink()
-        self._writers: _t.List[asyncio.StreamWriter] = []
+        self._writers: _t.List[FrameWriter] = []
         self._readers: _t.List["asyncio.Task[None]"] = []
         self._inflight: _t.Dict[_t.Tuple[int, int], RpcMessage] = {}
+        #: Frames and socket writes over all shard connections.
+        self.wire = WireCounters()
         self.requests_sent = 0
         self.replies_received = 0
         self.unmatched_replies = 0
@@ -84,17 +88,24 @@ class RtClusterTransport:
             )
         transport = cls(env, router)
         for host, port in addresses:
-            reader, writer = await asyncio.open_connection(host, port)
-            transport._writers.append(writer)
-            transport._readers.append(
-                asyncio.ensure_future(transport._read_replies(reader))
-            )
+            transport._attach(*await asyncio.open_connection(host, port))
         return transport
+
+    def _attach(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Adopt the next shard's connection and start its reply reader."""
+        self._writers.append(FrameWriter(self.env.loop, writer, self.wire))
+        self._readers.append(
+            asyncio.ensure_future(self._read_replies(reader))
+        )
 
     async def aclose(self) -> None:
         for task in self._readers:
             task.cancel()
-        for writer in self._writers:
+        for outbound in self._writers:
+            outbound.flush()
+            writer = outbound.writer
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -110,9 +121,14 @@ class RtClusterTransport:
         pre-register from here."""
 
     def send_request(self, message: RpcMessage) -> None:
+        """Queue the request for its shard's next write.
+
+        A connection that is closing swallows it -- a lost uplink frame,
+        which the client's ``RetryPolicy`` recovers.
+        """
         shard = self.router.shard_for_message(message)
         self._inflight[(message.client_id, message.xid)] = message
-        self._writers[shard].write(encode_frame(request_to_wire(message)))
+        self._writers[shard].send(request_to_wire(message))
         self.requests_sent += 1
 
     # -- reply pump ---------------------------------------------------------

@@ -314,6 +314,12 @@ class CalendarQueue:
                 moved = _heappop(overflow)
                 _heappush(buckets[_floor(moved[0] / width) & mask], moved)
         bucket = self._buckets[self._cur]
+        if not bucket:
+            # t / width >= 2**53 (the width clamps at 2**-60): adding a
+            # bucket width to t rounds back to t, the horizon above
+            # stopped *at* t, and the minimum was not migrated.  It is
+            # still the overflow head; serve it from there.
+            bucket = overflow
         self._size -= 1
         entry = _heappop(bucket)
         self._last = entry[0]

@@ -202,6 +202,36 @@ def test_two_frames_in_one_feed():
     assert [f["file_id"] for f in frames] == [1, 2]
 
 
+def test_many_small_frames_in_one_chunk():
+    """What tick coalescing puts on the wire: one chunk holding
+    thousands of frames and the head of the next one."""
+    count = 12_000
+    chunk = b"".join(
+        encode_frame({"type": "getattr", "file_id": i}) for i in range(count)
+    )
+    tail = encode_frame({"type": "unlink", "file_id": 7})
+    decoder = FrameDecoder()
+    frames = decoder.feed(chunk + tail[:-3])
+    assert [f["file_id"] for f in frames] == list(range(count))
+    assert decoder.pending_bytes == len(tail) - 3
+    assert decoder.feed(tail[-3:]) == [{"type": "unlink", "file_id": 7}]
+    assert decoder.pending_bytes == 0
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        struct.pack(">I", MAX_FRAME + 1) + b"x" * 16,
+        struct.pack(">I", 4) + b"\xff\xfe{}",
+    ],
+    ids=["oversized", "undecodable"],
+)
+def test_bad_frame_behind_good_ones_still_rejected(bad):
+    good = encode_frame({"type": "getattr", "file_id": 1})
+    with pytest.raises(FrameError):
+        FrameDecoder().feed(good + good + bad)
+
+
 def test_unknown_payload_and_result_types_rejected():
     with pytest.raises(FrameError):
         payload_from_wire({"type": "mystery"})

@@ -88,7 +88,12 @@ def test_live_two_shard_cluster_passes_oracles(tmp_path):
         except subprocess.TimeoutExpired:
             proc.send_signal(signal.SIGTERM)
             proc.wait(timeout=10)
+        with proc.stdout:
+            serve_log = proc.stdout.read()
 
+    # A handler that dies is only logged by asyncio; the shards' stderr
+    # lands in this pipe.
+    assert "Traceback" not in serve_log, serve_log
     assert report["ok"], json.dumps(report["oracles"], indent=2)
     # 2 clients x 3 files, every 4th unlinked (index 3) -- none here.
     assert report["files_persisted"] == 6
@@ -104,6 +109,12 @@ def test_live_two_shard_cluster_passes_oracles(tmp_path):
     )
     assert total_dropped > 0
     assert total_retries >= total_dropped
+    # Both ends count frames where they reach the socket: every request
+    # was written, and no write carried less than one frame.
+    wire = report["transport_stats"]
+    assert wire["frames_sent"] == wire["requests_sent"]
+    for end in [wire] + [s["wire"] for s in report["shard_stats"]]:
+        assert 0 < end["socket_writes"] <= end["frames_sent"]
     # serve exited cleanly after the ctl shutdown.
     assert proc.returncode == 0
     # Both shards persisted dumps.

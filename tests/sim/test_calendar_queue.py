@@ -8,7 +8,7 @@ growth under cancel/reschedule churn, and Timeout recycling.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Environment
@@ -48,6 +48,15 @@ def _run_trace(scheduler, items, outliers=()):
         max_size=30,
     ),
     st.lists(st.floats(1e4, 1e8, allow_nan=False), max_size=3),
+)
+@example(
+    # One 3.849e-141 gap tunes the width down to its 2**-60 clamp, so
+    # 1e4 / width >= 2**53: adding a bucket width to the outlier's time
+    # rounds back to it, the horizon cannot pass it, and it stays in the
+    # overflow lane, which ``_pop_direct`` must then serve it from (it
+    # popped the empty bucket and raised IndexError).
+    items=[(0.0, False)] * 26 + [(0.0, True)] * 2 + [(3.849e-141, True)],
+    outliers=[1e4],
 )
 def test_calendar_matches_heap_dispatch_order(items, outliers):
     """Identical programs dispatch identically on both schedulers.
