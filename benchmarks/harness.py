@@ -4,10 +4,11 @@ The paper's figures are all sweep-shaped -- many seeds x many
 configurations x many client counts -- but the ``bench_fig*.py`` modules
 run serially in one interpreter.  This harness turns a *sweep spec*
 (figure x seeds x configs) into independent **cells**, fans the cells
-across a ``ProcessPoolExecutor``, and records per-cell host-side
-performance (wall time, simulated events/sec) into a machine-readable
-``BENCH_sim.json`` -- the start of the perf trajectory tracked across
-PRs.
+across a ``ProcessPoolExecutor``, and records each cell's *model*
+outputs (ops/s, bytes/s, latency quantiles, scheduled events) into a
+machine-readable ``BENCH_sim.json``.  Every number in a cell is a pure
+function of (code, config, seed); host-time measurements (wall seconds,
+events per host second) belong to ``perf/`` and are not taken here.
 
 Result cache
 ------------
@@ -20,8 +21,8 @@ uncommitted changes (falling back to hashing ``src/`` when git is
 unavailable).  Re-running a sweep therefore only executes cells whose
 code or config changed; everything else is served from
 ``benchmarks/out/cache/``.  The simulator is deterministic (same seed,
-same config => bit-identical run), which is what makes caching *sound*:
-a cached cell is indistinguishable from a re-run one.
+same config => bit-identical run) and a cell records nothing else, which
+is what makes caching *sound*: a cached cell is equal to a re-run one.
 
 Usage
 -----
@@ -166,18 +167,17 @@ FIGURE_SWEEPS: _t.Dict[str, _t.List[_t.Dict[str, _t.Any]]] = {
 
 def _scale_cell(
     clients: int,
-    scheduler: str,
-    processes: _t.Optional[int] = None,
+    processes: int,
     duration: float = 0.25,
     warmup: float = 0.05,
 ) -> _t.Dict[str, _t.Any]:
-    """One client-count scaling cell (delayed commit, lean xcdn).
+    """One client-count scaling cell (delayed commit, lean xcdn):
+    ``clients`` personalities multiplexed onto ``processes`` nodes.
 
     ``delegation_chunk`` is shrunk so 10k clients' delegated chunks fit
-    the volume; all scale cells share it so events/sec ratios compare
-    like with like.
+    the volume; all scale cells share it so they compare like with like.
     """
-    cell: _t.Dict[str, _t.Any] = {
+    return {
         "system": "redbud-delayed",
         "workload": "xcdn-scale",
         "clients": clients,
@@ -185,34 +185,20 @@ def _scale_cell(
         "warmup": warmup,
         "shards": 1,
         "replication": "none",
-        "scheduler": scheduler,
         "config": {"delegation_chunk": 1024 * 1024},
+        "processes": processes,
     }
-    if processes is not None:
-        cell["processes"] = processes
-    return cell
 
 
-#: The client-count scaling figure: the legacy layout (heap calendar,
-#: one node per client) against aggregate clients on the calendar
-#: queue.  The 10k legacy baseline is the pathological configuration
-#: this sweep exists to retire -- it is slow once, then cached.
+#: The client-count scaling figure: aggregate clients at 1k and 10k.
 FIGURE_SWEEPS["clients"] = [
-    _scale_cell(4, "heap"),
-    _scale_cell(100, "heap"),
-    _scale_cell(1000, "heap"),
-    _scale_cell(10000, "heap", duration=0.12, warmup=0.03),
-    _scale_cell(1000, "calendar", processes=8),
-    _scale_cell(10000, "calendar", processes=16, duration=0.12,
-                warmup=0.03),
+    _scale_cell(1000, processes=8),
+    _scale_cell(10000, processes=16, duration=0.12, warmup=0.03),
 ]
 
-#: CI-sized subset: one legacy baseline and one aggregate cell at 1000
-#: clients (the 10k cells stay out of the smoke path).
-FIGURE_SWEEPS["scale-smoke"] = [
-    _scale_cell(1000, "heap"),
-    _scale_cell(1000, "calendar", processes=8),
-]
+#: CI-sized subset: the 1000-client cell (10k stays out of the smoke
+#: path).
+FIGURE_SWEEPS["scale-smoke"] = [_scale_cell(1000, processes=8)]
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +213,7 @@ def code_fingerprint(root: str = _REPO_ROOT) -> str:
     hash -- rebases and amended messages must not invalidate the cache),
     plus a digest of uncommitted modifications *and* of untracked files
     under ``src/`` and ``benchmarks/``.  Untracked coverage matters:
-    a brand-new module (say a fresh ``repro.sim`` scheduler) is
+    a brand-new module (say a fresh ``repro.storage`` elevator) is
     invisible to ``git diff HEAD``, and without it stale cells were
     served for code the cache key had never seen.  Falls back to
     hashing every Python file under ``src/`` and ``benchmarks/`` when
@@ -339,10 +325,7 @@ def run_cell(cell: _t.Dict[str, _t.Any]) -> _t.Dict[str, _t.Any]:
 
     cls_name, kwargs = WORKLOAD_SPECS[cell["workload"]]
     workload = getattr(workloads, cls_name)(**kwargs)
-    t0 = time.perf_counter()
     extra = dict(cell.get("config") or {})
-    if cell.get("scheduler"):
-        extra["scheduler"] = cell["scheduler"]
     if cell.get("processes"):
         extra["client_processes"] = cell["processes"]
     cluster = build_cluster(
@@ -356,23 +339,18 @@ def run_cell(cell: _t.Dict[str, _t.Any]) -> _t.Dict[str, _t.Any]:
     result = cluster.run_workload(
         workload, duration=cell["duration"], warmup=cell["warmup"]
     )
-    wall = time.perf_counter() - t0
-    events = cluster.env.scheduled_events
     latency = result.latency()
     return {
         "cell": cell,
         "ops_completed": result.ops_completed,
         "ops_per_second": result.ops_per_second,
         "bytes_per_second": result.bytes_per_second,
-        # Tail-latency columns (seconds, pooled over op types) so the
-        # per-PR perf trajectory tracks tails, not just throughput.
+        # Tail-latency columns (virtual seconds, pooled over op types).
         "latency_mean": latency.mean,
         "latency_p50": latency.p50,
         "latency_p99": latency.p99,
         "latency_p999": latency.p999,
-        "events": events,
-        "wall_time": wall,
-        "events_per_second": events / wall if wall > 0 else 0.0,
+        "events": cluster.env.scheduled_events,
     }
 
 
@@ -442,7 +420,6 @@ def run_sweep(
         f"({len(results)} cached, {len(pending)} to run)"
     )
 
-    t0 = time.perf_counter()
     if pending:
         if jobs is None:
             jobs = os.cpu_count() or 1
@@ -466,19 +443,13 @@ def run_sweep(
                 say(
                     f"  [{done}/{len(pending)}] {cell['system']}"
                     f"/{cell['workload']} seed={cell['seed']}: "
-                    f"{record['events_per_second']:,.0f} ev/s "
-                    f"({record['wall_time']:.2f}s wall)"
+                    f"{record['ops_per_second']:,.0f} ops/s, "
+                    f"{record['events']:,} events"
                 )
-    sweep_wall = time.perf_counter() - t0
 
     ordered = [results[key] for key, _ in keyed]
-    executed = [r for r in ordered if not r["cached"]]
-    # Aggregate over every cell, cached included: a cached cell carries
-    # the wall time and event count measured when it actually ran, so
-    # the headline events/sec stays meaningful on a fully-cached rerun.
-    total_events = sum(r["events"] for r in ordered)
-    total_cell_wall = sum(r["wall_time"] for r in ordered)
-    report = {
+    cached = sum(1 for r in ordered if r["cached"])
+    return {
         "figure": figure,
         "seeds": seeds,
         "base_seed": base_seed,
@@ -490,69 +461,12 @@ def run_sweep(
         "jobs": jobs,
         "totals": {
             "cells": len(ordered),
-            "cached_cells": len(ordered) - len(executed),
-            "executed_cells": len(executed),
-            "sweep_wall_time": sweep_wall,
-            "executed_wall_time": sum(
-                r["wall_time"] for r in executed
-            ),
-            "cell_wall_time": total_cell_wall,
-            "events": total_events,
-            "events_per_second": (
-                total_events / total_cell_wall if total_cell_wall else 0.0
-            ),
+            "cached_cells": cached,
+            "executed_cells": len(ordered) - cached,
+            "events": sum(r["events"] for r in ordered),
         },
         "cells": ordered,
     }
-    scaling = derive_scaling(ordered)
-    if scaling:
-        report["scaling"] = scaling
-    return report
-
-
-def derive_scaling(
-    records: _t.List[_t.Dict[str, _t.Any]],
-) -> _t.List[_t.Dict[str, _t.Any]]:
-    """Per-client-count speedup of the aggregate/calendar configuration
-    over the legacy layout (heap calendar, one node per client).
-
-    Only meaningful for figures whose cells carry a ``scheduler`` key
-    (the ``clients`` / ``scale-smoke`` sweeps); returns ``[]`` for the
-    classic figures so their reports are unchanged.
-    """
-    by_kind: _t.Dict[
-        _t.Tuple[int, str], _t.List[_t.Dict[str, _t.Any]]
-    ] = {}
-    for record in records:
-        cell = record["cell"]
-        scheduler = cell.get("scheduler")
-        if not scheduler:
-            continue
-        kind = "aggregate" if cell.get("processes") else "legacy"
-        by_kind.setdefault((cell["clients"], kind), []).append(record)
-
-    def rate(group: _t.List[_t.Dict[str, _t.Any]]) -> float:
-        events = sum(r["events"] for r in group)
-        wall = sum(r["wall_time"] for r in group)
-        return events / wall if wall else 0.0
-
-    rows = []
-    clients_seen = sorted({c for c, _ in by_kind})
-    for clients in clients_seen:
-        legacy = by_kind.get((clients, "legacy"))
-        aggregate = by_kind.get((clients, "aggregate"))
-        row: _t.Dict[str, _t.Any] = {"clients": clients}
-        if legacy:
-            row["legacy_events_per_second"] = rate(legacy)
-        if aggregate:
-            row["aggregate_events_per_second"] = rate(aggregate)
-        if legacy and aggregate:
-            base = row["legacy_events_per_second"]
-            row["speedup"] = (
-                row["aggregate_events_per_second"] / base if base else 0.0
-            )
-        rows.append(row)
-    return rows
 
 
 def write_report(report: _t.Dict[str, _t.Any], path: str) -> None:
@@ -633,9 +547,8 @@ def run_from_args(args: argparse.Namespace) -> int:
     totals = report["totals"]
     print(
         f"{report['figure']}: {totals['cells']} cells "
-        f"({totals['cached_cells']} cached) in "
-        f"{totals['sweep_wall_time']:.2f}s; "
-        f"{totals['events_per_second']:,.0f} simulated events/s; "
+        f"({totals['cached_cells']} cached), "
+        f"{totals['events']:,} simulated events; "
         f"report -> {args.out}"
     )
     return 0

@@ -8,7 +8,8 @@ Redbud block-based parallel file system.
 Subpackages
 -----------
 ``repro.sim``
-    Discrete-event simulation kernel (virtual clock, processes, resources).
+    The virtual-time substrate: virtual clock and event calendar (the
+    event/process/resource kernel it runs is ``repro.core.kernel``).
 ``repro.storage``
     Disk-array model, elevator I/O schedulers with request merging, page
     cache, blktrace-style tracing.

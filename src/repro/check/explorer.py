@@ -40,7 +40,7 @@ from repro.fs.redbud import RedbudCluster
 from repro.mds.server import MdsParameters
 from repro.net.rpc import RetryPolicy
 from repro.obs import Instrumentation
-from repro.sim.rng import StreamRNG
+from repro.util.rng import StreamRNG
 from repro.workloads.spec import WorkloadContext
 
 __all__ = ["RunOutcome", "Counterexample", "CheckReport", "run_schedule",

@@ -57,7 +57,7 @@ from repro.fs.config import ClusterConfig
 from repro.fs.redbud import RedbudCluster
 from repro.mds.server import MdsParameters
 from repro.net.rpc import RetryPolicy
-from repro.sim.rng import StreamRNG
+from repro.util.rng import StreamRNG
 from repro.workloads.spec import WorkloadContext, timed
 
 __all__ = [
@@ -412,7 +412,6 @@ def run_soak(
     mode: str = "delayed",
     shards: int = 1,
     replication: str = "none",
-    scheduler: _t.Optional[str] = None,
     seed_bug: str = "none",
     sweeps: int = DEFAULT_SWEEPS,
     shrink: bool = True,
@@ -435,9 +434,6 @@ def run_soak(
     )
     out = emit if emit is not None else (lambda payload: None)
 
-    config_kw: _t.Dict[str, _t.Any] = {}
-    if scheduler is not None:
-        config_kw["scheduler"] = scheduler
     config = ClusterConfig(
         num_clients=clients,
         commit_mode=mode,
@@ -450,7 +446,6 @@ def run_soak(
         retry=RetryPolicy(),
         replication=replication,
         witness_capacity=16,
-        **config_kw,
     )
     # Untraced on purpose: a tracer over tens of virtual hours would
     # hold millions of events; the FaultTracker carries the excusal

@@ -25,7 +25,7 @@ Commands
 ``bench``
     Fan a figure sweep (figure x seeds x configs) across worker
     processes with incremental result caching and write the
-    machine-readable ``BENCH_sim.json`` perf report (see
+    machine-readable ``BENCH_sim.json`` report of model outputs (see
     ``benchmarks/harness.py``).
 ``slo``
     Run one workload across chosen systems with the tail-latency layer
@@ -308,8 +308,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
             return 2
         config_kw["client_processes"] = args.processes
-    if getattr(args, "scheduler", None) is not None:
-        config_kw["scheduler"] = args.scheduler
     if getattr(args, "delegation_chunk", None) is not None:
         config_kw["delegation_chunk"] = args.delegation_chunk
     cluster = build_cluster(
@@ -972,7 +970,6 @@ def cmd_soak(args: argparse.Namespace) -> int:
             clients=args.clients,
             shards=args.shards,
             replication=args.replication,
-            scheduler=args.scheduler,
             seed_bug=args.seed_bug,
             emit=emit,
         )
@@ -1234,14 +1231,6 @@ def build_parser() -> argparse.ArgumentParser:
         "population on 16 nodes. Incompatible with --faults",
     )
     p_run.add_argument(
-        "--scheduler",
-        choices=("calendar", "heap"),
-        default=None,
-        help="event-calendar implementation (default calendar); both "
-        "dispatch in the identical order, heap is the reference "
-        "baseline for scaling comparisons",
-    )
-    p_run.add_argument(
         "--delegation-chunk",
         type=int,
         default=None,
@@ -1500,12 +1489,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="replicated storage group; mirror3/block4-2 add the "
         "disk-loss/readmit nemesis family and the re-silvering "
         "liveness oracle",
-    )
-    p_soak.add_argument(
-        "--scheduler",
-        choices=("calendar", "heap"),
-        default=None,
-        help="event-calendar implementation (default calendar)",
     )
     p_soak.add_argument(
         "--seed-bug",

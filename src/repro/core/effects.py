@@ -10,8 +10,9 @@ simulator environment: it provides time (``now``, ``sleep``), scheduling
 
 Two substrates implement the contract:
 
-- :class:`repro.sim.effects.SimEffects` (the virtual-time calendar;
-  byte-identical to the pre-refactor engine -- it *is* the engine), and
+- ``repro.sim.SimEffects`` (the virtual-time calendar -- an alias of
+  :class:`repro.sim.engine.Environment`, which overrides only
+  ``timeout``, to recycle timers), and
 - :class:`repro.rt.AsyncioEffects` (real asyncio timers and TCP sockets).
 
 Substrate contract

@@ -10,9 +10,9 @@ so the *identical* objects run on the virtual-time calendar
 (:class:`repro.sim.engine.Environment`) and on real asyncio timers
 (:class:`repro.rt.AsyncioEffects`).
 
-Historically these classes lived in ``repro.sim``; that package now
-re-exports them for compatibility, and all protocol code imports from
-here so it carries no dependency on the simulator.
+This package is their only home: protocol code, the substrates,
+workloads and tests all import them from here, so nothing but cluster
+assembly depends on the simulator.
 """
 
 from repro.core.kernel.events import (

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from repro.faults.tracking import Scope
 
 if _t.TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.rng import StreamRNG
+    from repro.util.rng import StreamRNG
 
 __all__ = ["NemesisAction", "TrackedNemesis"]
 

@@ -488,7 +488,7 @@ class FaultSpec:
     ) -> "FaultSpec":
         """Draw a randomized schedule (property-test harness).
 
-        ``rng`` is a ``repro.sim.rng`` stream; every draw is deterministic
+        ``rng`` is a ``repro.util.rng`` stream; every draw is deterministic
         per seed.  The schedule always exercises all four fault families:
         background loss + delay, one partition window, one MDS restart,
         and one client death (never the same client as the partition, so

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 from repro.analysis.metrics import LatencyStats, OpMetrics
 from repro.client.filesystem import FileSystemAPI
-from repro.sim import Environment, StreamRNG
+from repro.sim import Environment
+from repro.util.rng import StreamRNG
 from repro.workloads.aggregate import aggregate_thread
 from repro.workloads.spec import Workload, WorkloadContext
 

@@ -43,11 +43,6 @@ class ClusterConfig:
     #: decouples from process count, which is what makes 10k-client runs
     #: tractable (see ``repro.workloads.aggregate``).
     client_processes: _t.Optional[int] = None
-    #: Event-calendar implementation: ``calendar`` (bucketed calendar
-    #: queue, the default) or ``heap`` (the reference binary heap).
-    #: Both dispatch in the identical total order; the knob exists for
-    #: the scheduler-scaling benchmarks and equivalence tests.
-    scheduler: str = "calendar"
     #: ``synchronous`` (original Redbud), ``delayed``, or ``unordered``
     #: (the deliberately broken control mode for consistency tests).
     commit_mode: str = "synchronous"
@@ -122,13 +117,6 @@ class ClusterConfig:
             raise ValueError(
                 f"client_processes must be in [1, num_clients="
                 f"{self.num_clients}], got {self.client_processes}"
-            )
-        from repro.sim.engine import SCHEDULERS
-
-        if self.scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {self.scheduler!r}; choose from "
-                f"{sorted(SCHEDULERS)}"
             )
         if self.commit_mode not in ("synchronous", "delayed", "unordered"):
             raise ValueError(f"unknown commit_mode {self.commit_mode!r}")

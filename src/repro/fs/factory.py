@@ -40,8 +40,7 @@ def build_cluster(
     Any other keyword lands on :class:`ClusterConfig` -- notably
     ``client_processes`` (aggregate client nodes: ``num_clients``
     personalities multiplexed onto that many simulated nodes, see
-    ``repro.workloads.aggregate``) and ``scheduler`` (``calendar`` or
-    ``heap`` event calendar).
+    ``repro.workloads.aggregate``).
     """
     shards = config_kw.pop("shards", None)
     if shards is not None and shards > 1 and not system.startswith(

@@ -347,9 +347,7 @@ class Nfs3Cluster(BaseCluster):
         seed: int = 0,
         obs: _t.Optional[_t.Any] = None,
     ) -> None:
-        super().__init__(
-            Environment(scheduler=config.scheduler), seed=seed, obs=obs
-        )
+        super().__init__(Environment(), seed=seed, obs=obs)
         self.config = config
         env = self.env
 

@@ -346,9 +346,7 @@ class Pvfs2Cluster(BaseCluster):
         stripe_size: int = 1024 * 1024,
         obs: _t.Optional[_t.Any] = None,
     ) -> None:
-        super().__init__(
-            Environment(scheduler=config.scheduler), seed=seed, obs=obs
-        )
+        super().__init__(Environment(), seed=seed, obs=obs)
         self.config = config
         env = self.env
         n_servers = num_data_servers or config.client_nodes

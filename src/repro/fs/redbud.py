@@ -58,9 +58,7 @@ class RedbudCluster(BaseCluster):
         seed: int = 0,
         obs: _t.Optional[_t.Any] = None,
     ) -> None:
-        super().__init__(
-            Environment(scheduler=config.scheduler), seed=seed, obs=obs
-        )
+        super().__init__(Environment(), seed=seed, obs=obs)
         self.config = config
         env = self.env
         num_shards = config.mds.shards

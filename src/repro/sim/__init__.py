@@ -1,22 +1,17 @@
-"""Discrete-event simulation kernel.
+"""The virtual-time substrate: a deterministic event calendar.
 
-This package is the foundation substrate for the whole reproduction: every
-node, daemon thread, disk head and network link in the simulated cluster is
-a process running against the virtual clock provided here.
+Every node, daemon thread, disk head and network link in the simulated
+cluster is a generator process running against the virtual clock
+provided here.  :class:`Environment` implements the
+:class:`repro.core.effects.Effects` contract over a
+:class:`CalendarQueue` of ``(time, priority, sequence, event)`` entries;
+``SimEffects`` is the same class under its effects name, next to
+:class:`repro.rt.AsyncioEffects`.
 
-The design follows the classic event-calendar architecture (and borrows its
-user-facing idioms from SimPy): an :class:`~repro.sim.engine.Environment`
-owns a heap of scheduled events, and *processes* are Python generators that
-``yield`` events to suspend until those events fire.
-
-Public API
-----------
-- :class:`Environment` -- the virtual clock and event calendar.
-- :class:`Event`, :class:`Timeout`, :class:`AllOf`, :class:`AnyOf` -- events.
-- :class:`Process`, :class:`Interrupt` -- generator-backed processes.
-- :class:`Resource`, :class:`Store`, :class:`PriorityStore`,
-  :class:`FilterStore`, :class:`Container` -- shared-resource primitives.
-- :class:`StreamRNG` -- reproducible, stream-split random numbers.
+This package holds the substrate only.  The event, process and resource
+classes protocol code yields and waits on (``Event``, ``Timeout``,
+``Process``, ``Store``, ...) live in :mod:`repro.core.kernel` and are
+shared by both substrates; ``StreamRNG`` lives in :mod:`repro.util.rng`.
 
 Example
 -------
@@ -32,44 +27,10 @@ Example
 [1.5]
 """
 
-from repro.sim.effects import SimEffects
-from repro.sim.engine import Environment, SimulationError
-from repro.sim.events import (
-    AllOf,
-    AnyOf,
-    Condition,
-    ConditionValue,
-    Event,
-    Timeout,
-)
-from repro.sim.process import Interrupt, Process
-from repro.sim.resources import (
-    Container,
-    FilterStore,
-    PriorityItem,
-    PriorityStore,
-    Resource,
-    Store,
-)
-from repro.sim.rng import StreamRNG
+from repro.sim.engine import CalendarQueue, Environment, SimulationError
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Condition",
-    "ConditionValue",
-    "Container",
-    "Environment",
-    "Event",
-    "FilterStore",
-    "Interrupt",
-    "PriorityItem",
-    "PriorityStore",
-    "Process",
-    "Resource",
-    "SimEffects",
-    "SimulationError",
-    "Store",
-    "StreamRNG",
-    "Timeout",
-]
+#: The engine under its effects name: protocol assembly code that wants
+#: to say "the virtual-time substrate" rather than "the simulator".
+SimEffects = Environment
+
+__all__ = ["CalendarQueue", "Environment", "SimEffects", "SimulationError"]

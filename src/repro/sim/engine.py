@@ -1,26 +1,20 @@
 """The virtual clock and event calendar.
 
-:class:`Environment` owns a scheduler of ``(time, priority, sequence,
-event)`` entries.  :meth:`Environment.step` pops the earliest entry,
-advances ``now`` and runs the event's callbacks; :meth:`Environment.run`
-steps until the calendar empties, a deadline passes, or a given event
-fires.
+:class:`Environment` owns a :class:`CalendarQueue` of ``(time, priority,
+sequence, event)`` entries.  :meth:`Environment.step` pops the earliest
+entry, advances ``now`` and runs the event's callbacks;
+:meth:`Environment.run` steps until the calendar empties, a deadline
+passes, or a given event fires.
 
-Two interchangeable scheduler implementations back the calendar:
-
-- :class:`CalendarQueue` (the default) -- a bucketed calendar queue in
-  the style of Brown (CACM 1988): events hash into ``floor(t / width)``
-  buckets over a power-of-two ring, the current bucket serves pops in
-  O(1) amortized, and far-future events (lease expiries, retry backoff)
-  park in a binary-heap overflow lane until the bucket horizon reaches
-  them.  Bucket count and width resize themselves from the observed
-  event population (see ``_rebuild``).
-- :class:`HeapScheduler` -- the classic global binary heap, kept both as
-  the reference implementation the property tests compare against and
-  as a selectable fallback (``Environment(scheduler="heap")``).
-
-Both produce the *exact same pop order*; the calendar is purely a
-constant-factor/asymptotic win, never a semantic change.
+:class:`CalendarQueue` is a bucketed calendar queue in the style of
+Brown (CACM 1988): events hash into ``floor(t / width)`` buckets over a
+power-of-two ring, the current bucket serves pops in O(1) amortized, and
+far-future events (lease expiries, retry backoff) park in a binary-heap
+overflow lane until the bucket horizon reaches them.  Bucket count and
+width resize themselves from the observed event population (see
+``_rebuild``).  Its pop order is exactly that of one global binary heap
+over the same entries; the tests keep such a heap
+(``tests/sim/reference_heap.py``) and diff the two.
 
 Determinism
 -----------
@@ -32,7 +26,7 @@ tests rely on heavily.
 
 Cancelled timeouts
 ------------------
-:meth:`~repro.sim.events.Timeout.cancel` tombstones an entry in place
+:meth:`~repro.core.kernel.events.Timeout.cancel` tombstones an entry in place
 (its callback list becomes ``None``); the pop loops skip tombstones, and
 the environment compacts the scheduler when cancelled entries outnumber
 live ones, so retry/backoff churn cannot bloat the calendar.
@@ -46,13 +40,7 @@ import typing as _t
 from sys import getrefcount as _getrefcount
 
 from repro.core.effects import Effects
-from repro.core.kernel.events import (
-    PRIORITY_NORMAL,
-    AllOf,
-    AnyOf,
-    Event,
-    Timeout,
-)
+from repro.core.kernel.events import PRIORITY_NORMAL, Event, Timeout
 from repro.core.kernel.process import Process
 
 # Bound once at import: the calendar operations run once per simulated
@@ -81,45 +69,6 @@ class _StopRun(Exception):
 
     def __init__(self, event: Event) -> None:
         self.event = event
-
-
-class HeapScheduler:
-    """The classic single binary heap over all pending entries.
-
-    Kept as the reference ordering (property tests diff the calendar
-    queue against it) and as an explicit fallback via
-    ``Environment(scheduler="heap")``.
-    """
-
-    __slots__ = ("_heap",)
-
-    def __init__(self, start: float = 0.0) -> None:
-        self._heap: _t.List[Entry] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, entry: Entry) -> None:
-        _heappush(self._heap, entry)
-
-    def pop(self) -> _t.Optional[Entry]:
-        """Earliest entry, or ``None`` when empty (never raises)."""
-        heap = self._heap
-        return _heappop(heap) if heap else None
-
-    def peek_time(self) -> float:
-        heap = self._heap
-        return heap[0][0] if heap else _INF
-
-    def purge_cancelled(self) -> int:
-        """Drop tombstoned entries (cancelled events); return the count."""
-        heap = self._heap
-        keep = [e for e in heap if e[3].callbacks is not None]
-        removed = len(heap) - len(keep)
-        if removed:
-            _heapify(keep)
-            self._heap = keep
-        return removed
 
 
 class CalendarQueue:
@@ -360,30 +309,20 @@ class CalendarQueue:
         return removed
 
 
-#: Name -> implementation for ``Environment(scheduler=...)``.
-SCHEDULERS: _t.Dict[str, _t.Type] = {
-    "calendar": CalendarQueue,
-    "heap": HeapScheduler,
-}
-
-
 class Environment(Effects):
     """Execution environment for a single simulation.
 
     The virtual-time substrate of the effects boundary: it implements
     the :class:`~repro.core.effects.Effects` contract (``now``,
     ``schedule``, tombstone bookkeeping) over a deterministic event
-    calendar.  :class:`repro.sim.effects.SimEffects` is the named alias
-    protocol assembly code uses.
+    calendar, and inherits the event factories (``event``, ``process``,
+    ``all_of``, ``any_of``, ``active_process``) from it.
+    ``repro.sim.SimEffects`` is this class under its effects name.
 
     Parameters
     ----------
     initial_time:
         The virtual time at which the clock starts (seconds).
-    scheduler:
-        ``"calendar"`` (default, O(1) amortized) or ``"heap"`` (the
-        reference binary heap).  Both dispatch in the identical
-        ``(time, priority, seq)`` total order.
     """
 
     __slots__ = (
@@ -396,23 +335,11 @@ class Environment(Effects):
         "_pop",
         "_timeout_pool",
         "_cancelled",
-        "scheduler",
     )
 
-    def __init__(
-        self, initial_time: float = 0.0, scheduler: str = "calendar"
-    ) -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        try:
-            queue_cls = SCHEDULERS[scheduler]
-        except KeyError:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; choose from "
-                f"{sorted(SCHEDULERS)}"
-            ) from None
-        #: The scheduler name this environment runs on (read-only intent).
-        self.scheduler = scheduler
-        self._queue = queue_cls(start=self._now)
+        self._queue = CalendarQueue(start=self._now)
         # Bound methods: one attribute hop saved on the two operations
         # that run once per simulated event.
         self._push = self._queue.push
@@ -440,16 +367,11 @@ class Environment(Effects):
         return self._now
 
     @property
-    def active_process(self) -> _t.Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
-
-    @property
     def scheduled_events(self) -> int:
         """Total events placed on the calendar since construction.
 
-        Monotonic and cheap (it is the ordering sequence number), so the
-        benchmark harness uses it as the events/sec numerator without
+        Monotonic and cheap (it is the ordering sequence number), so
+        benchmarks read it as the event count, and tests pin it, without
         perturbing the run.
         """
         return self._seq
@@ -459,19 +381,13 @@ class Environment(Effects):
         """Entries currently on the calendar (tombstones included)."""
         return len(self._queue)
 
-    # -- event factories ---------------------------------------------------
-
-    def event(self) -> Event:
-        """Create a fresh pending event."""
-        return Event(self)
-
     def timeout(self, delay: float, value: _t.Any = None) -> Timeout:
         """An event that fires ``delay`` seconds from now.
 
-        Serves from the environment's free list when possible: a
-        recycled Timeout is indistinguishable from a fresh one (same
-        state transitions, same scheduling order) -- only the allocation
-        is skipped.
+        Overrides :meth:`Effects.timeout` to serve from the
+        environment's free list when possible: a recycled Timeout is
+        indistinguishable from a fresh one (same state transitions, same
+        scheduling order) -- only the allocation is skipped.
         """
         pool = self._timeout_pool
         if pool:
@@ -486,22 +402,6 @@ class Environment(Effects):
             self.schedule(timer, delay=delay)
             return timer
         return Timeout(self, delay, value)
-
-    def process(
-        self,
-        generator: _t.Generator[Event, _t.Any, _t.Any],
-        name: _t.Optional[str] = None,
-    ) -> Process:
-        """Start a new process running ``generator``."""
-        return Process(self, generator, name=name)
-
-    def all_of(self, events: _t.Iterable[Event]) -> AllOf:
-        """An event that fires when every event in ``events`` has."""
-        return AllOf(self, events)
-
-    def any_of(self, events: _t.Iterable[Event]) -> AnyOf:
-        """An event that fires when any event in ``events`` has."""
-        return AnyOf(self, events)
 
     # -- scheduling ---------------------------------------------------------
 
@@ -520,10 +420,8 @@ class Environment(Effects):
     def peek(self) -> float:
         """Time of the next scheduled entry, or ``inf`` if none.
 
-        Consistent across both scheduler implementations (the old heap
-        path leaked ``IndexError`` from ``heapq`` internals on some call
-        patterns).  A cancelled-but-unpopped timeout still counts -- its
-        tombstone occupies the slot until swept.
+        A cancelled-but-unpopped timeout still counts -- its tombstone
+        occupies the slot until swept.
         """
         return self._queue.peek_time()
 

@@ -8,7 +8,7 @@ run to run and across machines.
 
 Lives in ``repro.util`` (not ``repro.sim``) because the protocol layer --
 RPC retry jitter, the rt smoke workload -- needs seeded streams on either
-substrate; :mod:`repro.sim.rng` re-exports for compatibility.
+substrate.
 """
 
 from __future__ import annotations

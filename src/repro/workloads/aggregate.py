@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro.sim.rng import StreamRNG
+from repro.util.rng import StreamRNG
 from repro.workloads.spec import Workload, WorkloadContext
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro.sim.events import Event
+from repro.core.kernel.events import Event
 from repro.workloads.spec import Workload, WorkloadContext, timed
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.metrics import OpMetrics
 from repro.client.filesystem import FileSystemAPI
-from repro.sim.rng import StreamRNG
+from repro.util.rng import StreamRNG
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Environment

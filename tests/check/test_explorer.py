@@ -75,7 +75,7 @@ def test_explore_is_deterministic_and_covers_everything():
 
 def test_nemesis_generator_is_seeded_and_varied():
     from repro.check.explorer import _nemesis_spec
-    from repro.sim import StreamRNG
+    from repro.util.rng import StreamRNG
 
     def batch(seed):
         root = StreamRNG(seed).stream("check", "nemesis")

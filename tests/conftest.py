@@ -9,7 +9,8 @@ from repro.mds.namespace import Namespace
 from repro.mds.server import MdsParameters, MetadataServer
 from repro.net.link import Link
 from repro.net.rpc import RpcClient, RpcServerPort, RpcTransport
-from repro.sim import Environment, StreamRNG
+from repro.sim import Environment
+from repro.util.rng import StreamRNG
 from repro.storage.blockdev import BlockDevice
 from repro.storage.blktrace import BlkTrace
 from repro.storage.disk import DiskArray, DiskParameters

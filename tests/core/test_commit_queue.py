@@ -4,8 +4,8 @@ import pytest
 
 from repro.core.commit_queue import CommitQueue
 from repro.mds.extent import Extent
+from repro.core.kernel.events import Event
 from repro.sim import Environment
-from repro.sim.events import Event
 
 
 def ext(fo, ln=4096, vo=0):

@@ -12,8 +12,8 @@ from repro.core.daemon import (
 from repro.mds.extent import Extent
 from repro.net.link import Link
 from repro.net.rpc import RpcClient, RpcServerPort, RpcTransport
+from repro.core.kernel.events import Event
 from repro.sim import Environment
-from repro.sim.events import Event
 
 
 def ext(fo=0):

@@ -8,6 +8,7 @@ fresh interpreter so nothing cached in this test process can mask a
 transitive leak.
 """
 
+import importlib
 import json
 import subprocess
 import sys
@@ -101,19 +102,29 @@ def test_no_source_level_sim_import_in_protocol_layer():
 
 
 def test_sim_effects_is_the_kernel_environment():
-    """Class identity across the boundary: the sim re-exports are the
-    kernel classes themselves, which is what makes pre/post-refactor
-    traces structurally identical."""
+    """``repro.sim`` is the substrate and nothing else: the engine under
+    its two names, its error and its calendar.  Kernel classes have one
+    home, :mod:`repro.core.kernel`."""
+    import repro.sim
     from repro.core.effects import Effects
-    from repro.core.kernel.events import Event, Timeout
-    from repro.sim import Environment
-    from repro.sim.effects import SimEffects
-    import repro.sim.events as sim_events
+    from repro.sim import Environment, SimEffects
 
     assert issubclass(Environment, Effects)
-    assert issubclass(SimEffects, Environment)
-    assert sim_events.Event is Event
-    assert sim_events.Timeout is Timeout
+    assert SimEffects is Environment
+    assert sorted(repro.sim.__all__) == [
+        "CalendarQueue",
+        "Environment",
+        "SimEffects",
+        "SimulationError",
+    ]
+
+
+@pytest.mark.parametrize(
+    "shim", ["effects", "events", "process", "resources", "rng"]
+)
+def test_deleted_sim_shim_is_not_importable(shim):
+    with pytest.raises(ImportError):
+        importlib.import_module(f"repro.sim.{shim}")
 
 
 def test_lazy_core_exports_resolve():

@@ -64,7 +64,7 @@ def test_daemon_usage_flags():
 
 def test_unordered_records_skip_stability_gate():
     from repro.mds.extent import Extent
-    from repro.sim.events import Event
+    from repro.core.kernel.events import Event
 
     env = Environment()
     rpc = make_rpc(env)

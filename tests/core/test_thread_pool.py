@@ -10,8 +10,8 @@ from repro.mds.extent import Extent
 from repro.net.link import Link
 from repro.net.messages import CommitPayload
 from repro.net.rpc import RpcClient, RpcServerPort, RpcTransport
+from repro.core.kernel.events import Event
 from repro.sim import Environment
-from repro.sim.events import Event
 
 
 def ext(fo=0):

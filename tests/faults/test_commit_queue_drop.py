@@ -11,8 +11,8 @@ import pytest
 
 from repro.core.commit_queue import CommitQueue
 from repro.mds.extent import Extent
+from repro.core.kernel.events import Event
 from repro.sim import Environment
-from repro.sim.events import Event
 
 pytestmark = pytest.mark.faults
 

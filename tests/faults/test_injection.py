@@ -18,7 +18,7 @@ from repro.faults import FaultInjector, FaultSpec
 from repro.fs import ClusterConfig, RedbudCluster
 from repro.mds.server import MdsParameters
 from repro.net.rpc import RetryPolicy
-from repro.sim import StreamRNG
+from repro.util.rng import StreamRNG
 from repro.workloads import XcdnWorkload
 
 pytestmark = pytest.mark.faults

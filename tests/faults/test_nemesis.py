@@ -14,7 +14,7 @@ import pytest
 
 from repro.check import compose
 from repro.faults.nemesis import TAIL_MARGIN, TrackedNemesis
-from repro.sim.rng import StreamRNG
+from repro.util.rng import StreamRNG
 
 SHAPES = [
     dict(num_clients=4, shards=1, replication="none"),

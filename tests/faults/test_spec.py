@@ -10,7 +10,7 @@ from repro.faults import (
     Partition,
     ShardPartition,
 )
-from repro.sim import StreamRNG
+from repro.util.rng import StreamRNG
 
 
 def test_parse_full_spec():

@@ -4,40 +4,17 @@ The replicated storage group and CURP witnesses are a strict opt-in:
 with ``replication="none"`` no group object is built, no RNG stream is
 touched, and the disk serve loop takes the exact legacy path -- so the
 block trace of a golden workload is bit-for-bit what it was before this
-subsystem existed.  The digests are shared with the sharding golden
-test (both hold the same seed-11 traces).
+subsystem existed.  The digests are the ones the sharding golden test
+pins (``tests/golden.py``: the same seed-11 traces).
 
 Marked ``check`` like the other heavyweight golden tests.
 """
 
-import hashlib
-
 import pytest
 
 from repro.fs.factory import build_cluster
-from repro.workloads.filebench import VarmailWorkload
-from repro.workloads.xcdn import XcdnWorkload
 
-from tests.fs.test_sharding_golden import GOLDEN
-
-
-def _workload(name):
-    if name == "varmail":
-        return VarmailWorkload(seed_files_per_client=15)
-    if name == "xcdn-32K":
-        return XcdnWorkload(file_size=32 * 1024, seed_files_per_client=25)
-    raise ValueError(name)
-
-
-def _trace_digest(system, workload_name, replication):
-    cluster = build_cluster(
-        system, num_clients=3, seed=11, replication=replication
-    )
-    cluster.run_workload(_workload(workload_name), duration=0.4, warmup=0.1)
-    digest = hashlib.sha256()
-    for row in cluster.blktrace.to_rows():
-        digest.update(repr(row).encode())
-    return digest.hexdigest()
+from tests.golden import GOLDEN, LEGACY_CELL, trace_digest
 
 
 @pytest.mark.check
@@ -47,7 +24,8 @@ def _trace_digest(system, workload_name, replication):
 )
 def test_replication_none_blktrace_matches_golden(system, workload):
     key = (system, workload)
-    assert _trace_digest(*key, replication="none") == GOLDEN[key]
+    digest = trace_digest(*key, **LEGACY_CELL, replication="none")
+    assert digest == GOLDEN[key]
 
 
 @pytest.mark.check
@@ -57,8 +35,8 @@ def test_replicated_trace_diverges_but_stays_deterministic(replication):
     perturb timing), so the trace legitimately differs from the golden
     -- but it must be self-deterministic."""
     key = ("redbud-delayed", "varmail")
-    a = _trace_digest(*key, replication=replication)
-    b = _trace_digest(*key, replication=replication)
+    a = trace_digest(*key, **LEGACY_CELL, replication=replication)
+    b = trace_digest(*key, **LEGACY_CELL, replication=replication)
     assert a == b
     assert a != GOLDEN[key]
 

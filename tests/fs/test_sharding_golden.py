@@ -4,80 +4,37 @@ The sharded metadata service must be a pure superset: with one shard
 the construction path, RNG stream names, transports, and fence keys
 all collapse to exactly the legacy single-MDS build, so the block
 trace of a golden workload is bit-for-bit what it was before the
-refactor.  The digests below were captured from the unsharded
-implementation; any drift here is a determinism regression.
+refactor.  The digests (``tests/golden.py``) were captured from the
+unsharded implementation; any drift here is a determinism regression.
 
 These run real (short) workloads, so they carry the ``check`` marker
 like the other heavyweight acceptance tests.
 """
 
-import hashlib
-
 import pytest
 
-from repro.fs.factory import build_cluster
-from repro.workloads.filebench import FileserverWorkload, VarmailWorkload
-from repro.workloads.xcdn import XcdnWorkload
-
-GOLDEN = {
-    ("redbud-original", "fileserver"): (
-        "e0aba651eedba87024513426d2c2190ab61f25a6049e71961b0846a855834ca0"
-    ),
-    ("redbud-delayed", "varmail"): (
-        "7b344555dd2b09f7e0bb466180bab05b39920fe475ffa5f5e179b7f0cb1cd433"
-    ),
-    ("redbud-original", "xcdn-32K"): (
-        "ba1736842b581cdf38c14f6d153bfb8e0fa59ae9540d86382d45890ea0e1e0ce"
-    ),
-    ("redbud-delayed", "xcdn-32K"): (
-        "f3612d92229816235f0bab0aee6d179d20dc2ea67a5f095355a692944e65ccc9"
-    ),
-    ("redbud-delayed", "xcdn-1M"): (
-        "4539524e2704a6485ea80f5cf56de8d7a8e8f535f323e84ed0ccea086fbf2382"
-    ),
-}
-
-
-def _workload(name):
-    if name == "fileserver":
-        return FileserverWorkload(seed_files_per_client=15)
-    if name == "varmail":
-        return VarmailWorkload(seed_files_per_client=15)
-    if name == "xcdn-32K":
-        return XcdnWorkload(file_size=32 * 1024, seed_files_per_client=25)
-    if name == "xcdn-1M":
-        return XcdnWorkload(file_size=1024 * 1024, seed_files_per_client=8)
-    raise ValueError(name)
-
-
-def _trace_digest(system, workload_name, shards=None):
-    kw = {} if shards is None else {"shards": shards}
-    cluster = build_cluster(system, num_clients=3, seed=11, **kw)
-    cluster.run_workload(_workload(workload_name), duration=0.4, warmup=0.1)
-    digest = hashlib.sha256()
-    for row in cluster.blktrace.to_rows():
-        digest.update(repr(row).encode())
-    return digest.hexdigest()
+from tests.golden import GOLDEN, LEGACY_CELL, trace_digest
 
 
 @pytest.mark.check
 @pytest.mark.parametrize("system,workload", sorted(GOLDEN))
 def test_single_shard_blktrace_matches_golden(system, workload):
-    assert _trace_digest(system, workload) == GOLDEN[(system, workload)]
+    key = (system, workload)
+    assert trace_digest(*key, **LEGACY_CELL) == GOLDEN[key]
 
 
 @pytest.mark.check
 def test_explicit_shards_1_is_also_identical():
     """Passing --shards 1 explicitly must take the same legacy path."""
     key = ("redbud-delayed", "varmail")
-    assert _trace_digest(*key, shards=1) == GOLDEN[key]
+    assert trace_digest(*key, **LEGACY_CELL, shards=1) == GOLDEN[key]
 
 
 def test_two_shards_diverges_but_stays_deterministic():
     """shards=2 is a different system (different placement), so the
     trace legitimately differs -- but it must be self-deterministic."""
     key = ("redbud-delayed", "xcdn-32K")
-    a = _trace_digest(*key, shards=2)
-    b = _trace_digest(*key, shards=2)
+    a = trace_digest(*key, **LEGACY_CELL, shards=2)
+    b = trace_digest(*key, **LEGACY_CELL, shards=2)
     assert a == b
     assert a != GOLDEN[key]

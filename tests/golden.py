@@ -1,0 +1,115 @@
+"""Golden blktrace digests and the one recipe that reproduces them.
+
+A digest is the sha256 over ``repr()`` of every blktrace row of a
+fixed-seed run.  Each table below was captured once, on the tree named
+in its comment, and is only ever copied: drift in any of them means a
+change altered scheduling order or RNG draws.
+"""
+
+import hashlib
+
+from repro.fs.factory import build_cluster
+from repro.workloads.filebench import FileserverWorkload, VarmailWorkload
+from repro.workloads.xcdn import XcdnWorkload
+
+#: Workload recipes by name (a fresh instance per run).
+WORKLOADS = {
+    "fileserver": lambda: FileserverWorkload(seed_files_per_client=15),
+    "varmail": lambda: VarmailWorkload(seed_files_per_client=15),
+    "xcdn-32K": lambda: XcdnWorkload(
+        file_size=32 * 1024, seed_files_per_client=25
+    ),
+    "xcdn-1M": lambda: XcdnWorkload(
+        file_size=1024 * 1024, seed_files_per_client=8
+    ),
+    "xcdn-32K-lean": lambda: XcdnWorkload(
+        file_size=32 * 1024, seed_files_per_client=6
+    ),
+    # The two personalities ``perf/`` measures.
+    "xcdn-32K-paper": lambda: XcdnWorkload(
+        file_size=32 * 1024, seed_files_per_client=200
+    ),
+    "fileserver-paper": lambda: FileserverWorkload(seed_files_per_client=100),
+}
+
+#: Run shapes; every golden run uses seed 11.
+LEGACY_CELL = {"num_clients": 3, "duration": 0.4, "warmup": 0.1}
+LEAN_CELL = {"num_clients": 4, "duration": 0.3, "warmup": 0.05}
+PAPER_CELL = {"num_clients": 7, "duration": 2.0, "warmup": 0.2}
+
+#: ``LEGACY_CELL`` runs, captured from the unsharded, unreplicated
+#: implementation: (system, workload) -> digest.
+GOLDEN = {
+    ("redbud-original", "fileserver"): (
+        "e0aba651eedba87024513426d2c2190ab61f25a6049e71961b0846a855834ca0"
+    ),
+    ("redbud-delayed", "varmail"): (
+        "7b344555dd2b09f7e0bb466180bab05b39920fe475ffa5f5e179b7f0cb1cd433"
+    ),
+    ("redbud-original", "xcdn-32K"): (
+        "ba1736842b581cdf38c14f6d153bfb8e0fa59ae9540d86382d45890ea0e1e0ce"
+    ),
+    ("redbud-delayed", "xcdn-32K"): (
+        "f3612d92229816235f0bab0aee6d179d20dc2ea67a5f095355a692944e65ccc9"
+    ),
+    ("redbud-delayed", "xcdn-1M"): (
+        "4539524e2704a6485ea80f5cf56de8d7a8e8f535f323e84ed0ccea086fbf2382"
+    ),
+}
+
+#: ``LEAN_CELL`` runs of ``xcdn-32K-lean``, recorded before the protocol
+#: layer was ported onto the effects boundary.
+EFFECTS_GOLDEN = {
+    "redbud-delayed": (
+        "1db28146ca57e1254a67fbb9ca0b32421885f2e0bf3db879d35443e91afde53e"
+    ),
+    "redbud-delayed-shards2": (
+        "12512764744b61ca1951520d0cb4c402ba8a9b4da62ab79b9c7808d44ec612a7"
+    ),
+    "redbud-original": (
+        "ee37ff87736331481d6e2705e326d32f5843a367ec6985d8dee1bb0a924a9cea"
+    ),
+}
+
+#: ``PAPER_CELL`` runs -- the two paper cells ``perf/`` measures, so the
+#: identity the benchmark enforces between commits (same block trace,
+#: same number of scheduled events) is also enforced in tier-1:
+#: name -> (system, workload, digest, scheduled_events).
+PAPER_CELLS = {
+    "sim-paper-delayed": (
+        "redbud-delayed",
+        "xcdn-32K-paper",
+        "55e898defe3f065c72aab3c59b7214a94d6e9b2510e80b27413ce55480af3e15",
+        271888,
+    ),
+    "sim-paper-sync": (
+        "redbud-original",
+        "fileserver-paper",
+        "21e8c535d541b74dae49ea1c5918c7709c7f90a181286e95b667a112914de755",
+        128309,
+    ),
+}
+
+
+def run_cell(system, workload, *, num_clients, duration, warmup, **config):
+    """Build a seed-11 cluster, run ``WORKLOADS[workload]``, return it."""
+    cluster = build_cluster(
+        system, num_clients=num_clients, seed=11, **config
+    )
+    cluster.run_workload(
+        WORKLOADS[workload](), duration=duration, warmup=warmup
+    )
+    return cluster
+
+
+def blktrace_digest(cluster):
+    digest = hashlib.sha256()
+    for row in cluster.blktrace.to_rows():
+        digest.update(repr(row).encode())
+    return digest.hexdigest()
+
+
+def trace_digest(system, workload, **cell):
+    """Digest of one run: ``cell`` is a run shape plus any
+    ``build_cluster`` keyword (``shards=``, ``replication=``, ...)."""
+    return blktrace_digest(run_cell(system, workload, **cell))

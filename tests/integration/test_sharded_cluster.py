@@ -98,7 +98,7 @@ def test_sharded_nemesis_preserves_unsharded_draws():
     """Arming the shard nemesis family must not perturb the shards=1
     draw sequence: shards=1 CI reports stay byte-identical."""
     from repro.check.explorer import _nemesis_spec
-    from repro.sim import StreamRNG
+    from repro.util.rng import StreamRNG
 
     def batch(shards):
         root = StreamRNG(0).stream("check", "nemesis")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.mds.allocation import AllocationGroup, SpaceManager
-from repro.sim import StreamRNG
+from repro.util.rng import StreamRNG
 
 
 def test_cursor_alignment_leaves_gaps():

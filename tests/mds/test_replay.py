@@ -16,7 +16,7 @@ from repro.net.messages import (
     CreatePayload,
     RpcMessage,
 )
-from repro.sim.events import Event
+from repro.core.kernel.events import Event
 
 from tests.conftest import MiniCluster
 

@@ -117,7 +117,8 @@ def test_named_policies_registry_is_usable():
 
 def _make_service(shards=2, volume=1 << 20):
     from repro.net.rpc import RpcServerPort
-    from repro.sim import Environment, StreamRNG
+    from repro.sim import Environment
+    from repro.util.rng import StreamRNG
 
     env = Environment()
     servers = []

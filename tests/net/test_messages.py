@@ -12,8 +12,8 @@ from repro.net.messages import (
     LayoutGetPayload,
     RpcMessage,
 )
+from repro.core.kernel.events import Event
 from repro.sim import Environment
-from repro.sim.events import Event
 
 
 def msg(payload, data_bytes=0, reply_data_bytes=0):

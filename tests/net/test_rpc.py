@@ -18,8 +18,8 @@ from repro.net.rpc import (
     RpcTimeoutError,
     RpcTransport,
 )
+from repro.core.kernel.events import Event
 from repro.sim import Environment
-from repro.sim.events import Event
 
 
 @pytest.fixture

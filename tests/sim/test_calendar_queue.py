@@ -1,23 +1,40 @@
 """Calendar-queue scheduler: equivalence with the reference heap.
 
 The calendar queue must be observationally identical to the binary
-heap -- same dispatch order under ties, far-future outliers (overflow
-heap) and cancellations -- plus the engine-level guarantees the heap
-path historically got wrong: ``peek()`` on an empty calendar, bounded
-growth under cancel/reschedule churn, and Timeout recycling.
+heap kept in ``tests/sim/reference_heap.py`` -- same dispatch order
+under ties, far-future outliers (overflow heap) and cancellations --
+plus the engine-level guarantees the heap path historically got wrong:
+``peek()`` on an empty calendar, bounded growth under cancel/reschedule
+churn, and Timeout recycling.
 """
+
+import contextlib
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Environment
-from repro.sim.engine import SCHEDULERS, SimulationError
+from repro.sim import CalendarQueue, Environment, SimulationError
+
+from tests.sim.reference_heap import HeapScheduler, heap_calendar
+
+CALENDARS = {"calendar": contextlib.nullcontext, "heap": heap_calendar}
+
+
+@pytest.fixture(params=sorted(CALENDARS))
+def env(request):
+    """A fresh environment on each calendar implementation in turn."""
+    with CALENDARS[request.param]():
+        env = Environment()
+    expected = HeapScheduler if request.param == "heap" else CalendarQueue
+    assert type(env._queue) is expected
+    return env
 
 
 def _run_trace(scheduler, items, outliers=()):
     """Fire the given (delay, cancel?) schedule; return the dispatch log."""
-    env = Environment(scheduler=scheduler)
+    with CALENDARS[scheduler]():
+        env = Environment()
     fired = []
 
     def spawn(env, idx, delay, cancel):
@@ -83,9 +100,7 @@ def test_tie_heavy_schedules_preserve_fifo_on_both(delays):
             assert calendar[i][0] > calendar[i - 1][0]
 
 
-@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
-def test_peek_on_empty_calendar_is_inf(scheduler):
-    env = Environment(scheduler=scheduler)
+def test_peek_on_empty_calendar_is_inf(env):
     assert env.peek() == float("inf")
     timer = env.timeout(3.5)
     assert env.peek() == 3.5
@@ -96,30 +111,28 @@ def test_peek_on_empty_calendar_is_inf(scheduler):
     assert env.peek() == float("inf")
 
 
-@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
-def test_step_on_empty_calendar_raises(scheduler):
-    env = Environment(scheduler=scheduler)
+def test_step_on_empty_calendar_raises(env):
     with pytest.raises(SimulationError):
         env.step()
 
 
-@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
-def test_cancel_churn_keeps_calendar_bounded(scheduler):
+def test_cancel_churn_keeps_calendar_bounded(env):
     """Regression: cancelled timers must not pile up as tombstones.
 
     An RPC retry loop cancels and re-arms its timer every round; before
     lazy-purge landed, each round leaked one queue entry and a long run
     grew the calendar without bound.
     """
-    env = Environment(scheduler=scheduler)
     for _ in range(5_000):
         env.timeout(1e6).cancel()
     assert env.pending_events < 256
 
 
 def test_unknown_scheduler_rejected():
-    with pytest.raises(ValueError, match="unknown scheduler"):
-        Environment(scheduler="splay-tree")
+    """Every name is unknown: the constructor has no scheduler knob."""
+    with pytest.raises(TypeError):
+        Environment(scheduler="heap")
+    assert not hasattr(Environment(), "scheduler")
 
 
 def test_timeout_pool_recycles_objects():

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Environment
-from repro.sim.events import ConditionValue
+from repro.core.kernel import AllOf, AnyOf, ConditionValue
+from repro.sim import Environment
 
 
 @pytest.fixture

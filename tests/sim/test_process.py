@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import Environment, Interrupt
+from repro.core.kernel import Interrupt
+from repro.sim import Environment
 
 
 @pytest.fixture

@@ -2,15 +2,15 @@
 
 import pytest
 
-from repro.sim import (
+from repro.core.kernel import (
     Container,
-    Environment,
     FilterStore,
     PriorityItem,
     PriorityStore,
     Resource,
     Store,
 )
+from repro.sim import Environment
 
 
 @pytest.fixture

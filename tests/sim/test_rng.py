@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim import StreamRNG
+from repro.util.rng import StreamRNG
 
 
 def test_same_seed_same_draws():

@@ -15,7 +15,8 @@ contract the restructure must preserve:
 
 import pytest
 
-from repro.sim import Environment, FilterStore, PriorityItem, PriorityStore, Store
+from repro.core.kernel import FilterStore, PriorityItem, PriorityStore, Store
+from repro.sim import Environment
 
 
 @pytest.fixture

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import Environment, StreamRNG
+from repro.sim import Environment
+from repro.util.rng import StreamRNG
 from repro.storage.blockdev import BlockDevice
 from repro.storage.disk import DiskArray, DiskParameters
 

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Environment, StreamRNG
-from repro.sim.events import Event
+from repro.sim import Environment
+from repro.util.rng import StreamRNG
+from repro.core.kernel.events import Event
 from repro.storage.blktrace import BlkTrace
 from repro.storage.blockdev import BlockDevice
 from repro.storage.disk import DiskArray, DiskParameters

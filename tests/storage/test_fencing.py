@@ -1,6 +1,7 @@
 """Write-generation fencing on the shared array (DESIGN §8)."""
 
-from repro.sim import Environment, StreamRNG
+from repro.sim import Environment
+from repro.util.rng import StreamRNG
 from repro.storage.blockdev import BlockDevice
 from repro.storage.disk import DiskArray, DiskParameters
 

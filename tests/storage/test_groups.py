@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Environment, StreamRNG
+from repro.sim import Environment
+from repro.util.rng import StreamRNG
 from repro.storage.groups import (
     ARRANGEMENTS,
     StorageGroup,

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.kernel.events import Event
 from repro.sim import Environment
-from repro.sim.events import Event
 from repro.storage.scheduler import BlockRequest, ElevatorScheduler
 
 

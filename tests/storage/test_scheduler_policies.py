@@ -3,8 +3,8 @@ sync-request semantics and per-spindle dispatch."""
 
 import pytest
 
+from repro.core.kernel.events import Event
 from repro.sim import Environment
-from repro.sim.events import Event
 from repro.storage.scheduler import READ, BlockRequest, ElevatorScheduler
 
 

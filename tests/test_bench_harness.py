@@ -1,4 +1,4 @@
-"""Bench-harness unit tests: cache fingerprint and scale cells.
+"""Bench-harness unit tests: cache fingerprint, scale cells, rerun equality.
 
 The fingerprint bug these pin down: a brand-new (untracked) module
 changes simulator behaviour but is invisible to ``git diff HEAD``, so
@@ -14,9 +14,10 @@ import pytest
 
 from benchmarks.harness import (
     FIGURE_SWEEPS,
+    ResultCache,
     _scale_cell,
     code_fingerprint,
-    derive_scaling,
+    run_sweep,
 )
 
 
@@ -114,55 +115,24 @@ def test_fallback_fingerprint_covers_benchmarks(tmp_path):
 
 
 def test_scale_cell_shape():
-    cell = _scale_cell(1000, "calendar", processes=8)
+    cell = _scale_cell(1000, processes=8)
     assert cell["clients"] == 1000
-    assert cell["scheduler"] == "calendar"
     assert cell["processes"] == 8
     assert cell["workload"] == "xcdn-scale"
     assert cell["config"]["delegation_chunk"] == 1024 * 1024
-    legacy = _scale_cell(1000, "heap")
-    assert "processes" not in legacy
+    assert "scheduler" not in cell
+    assert FIGURE_SWEEPS["scale-smoke"] == [cell]
 
 
-def test_clients_figure_spans_both_layouts():
-    cells = FIGURE_SWEEPS["clients"]
-    legacy = {c["clients"] for c in cells if "processes" not in c}
-    aggregate = {c["clients"] for c in cells if "processes" in c}
-    assert 10_000 in legacy and 10_000 in aggregate
-    assert all(c["scheduler"] == "heap" for c in cells
-               if "processes" not in c)
-    assert all(c["scheduler"] == "calendar" for c in cells
-               if "processes" in c)
-
-
-def test_derive_scaling_pairs_layouts():
-    def record(clients, scheduler, processes, events, wall):
-        cell = {"clients": clients, "scheduler": scheduler}
-        if processes:
-            cell["processes"] = processes
-        return {"cell": cell, "events": events, "wall_time": wall}
-
-    rows = derive_scaling([
-        record(1000, "heap", None, 100_000, 10.0),
-        record(1000, "calendar", 8, 100_000, 2.0),
-        record(10_000, "calendar", 16, 400_000, 10.0),
-    ])
-    assert rows == [
-        {
-            "clients": 1000,
-            "legacy_events_per_second": 10_000.0,
-            "aggregate_events_per_second": 50_000.0,
-            "speedup": 5.0,
-        },
-        {
-            "clients": 10_000,
-            "aggregate_events_per_second": 40_000.0,
-        },
-    ]
-
-
-def test_derive_scaling_ignores_classic_figures():
-    assert derive_scaling(
-        [{"cell": {"clients": 3, "system": "nfs3"},
-          "events": 10, "wall_time": 1.0}]
-    ) == []
+def test_rerun_cells_equal_the_first_run(tmp_path):
+    """A cell records model outputs only, so two uncached runs of the
+    same sweep are equal -- the property the result cache rests on, and
+    one a wall-clock field in the record would break."""
+    cache = ResultCache(str(tmp_path))
+    first = run_sweep("smoke", seeds=1, jobs=1, cache=cache, use_cache=False)
+    again = run_sweep("smoke", seeds=1, jobs=1, cache=cache, use_cache=False)
+    assert first["cells"] and first["cells"] == again["cells"]
+    assert first["totals"] == again["totals"]
+    for record in first["cells"]:
+        assert record["events"] > 0
+        assert not {"wall_time", "events_per_second"} & set(record)

@@ -251,28 +251,17 @@ def test_run_command_with_aggregate_processes(capsys):
 
 
 def test_run_command_scheduler_choice(capsys):
-    for scheduler in ("heap", "calendar"):
-        code = main(
-            [
-                "run",
-                "--system",
-                "redbud-delayed",
-                "--workload",
-                "xcdn-32K",
-                "--clients",
-                "2",
-                "--duration",
-                "0.3",
-                "--scheduler",
-                scheduler,
-            ]
-        )
-        assert code == 0
+    """There is none: one calendar backs the engine, so ``--scheduler``
+    is an argparse error on both verbs that used to take it."""
     parser = build_parser()
-    with pytest.raises(SystemExit):
-        parser.parse_args(
-            ["run", "--system", "nfs3", "--scheduler", "splay"]
-        )
+    for argv in (
+        ["run", "--system", "redbud-delayed", "--scheduler", "heap"],
+        ["soak", "--hours", "2", "--scheduler", "heap"],
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args(argv)
+        assert exit_info.value.code == 2
+    assert "unrecognized arguments: --scheduler" in capsys.readouterr().err
 
 
 def test_processes_rejects_only_client_death_faults(capsys):

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.analysis.metrics import OpMetrics
-from repro.sim import Environment, StreamRNG
+from repro.sim import Environment
+from repro.util.rng import StreamRNG
 from repro.workloads.spec import Workload, WorkloadContext, timed
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.metrics import OpMetrics
 from repro.fs import ClusterConfig, RedbudCluster
-from repro.sim import StreamRNG
+from repro.util.rng import StreamRNG
 from repro.workloads import XcdnWorkload
 from repro.workloads.spec import WorkloadContext
 
