@@ -13,7 +13,8 @@ Two substrates implement the contract:
 - ``repro.sim.SimEffects`` (the virtual-time calendar -- an alias of
   :class:`repro.sim.engine.Environment`, which overrides only
   ``timeout``, to recycle timers), and
-- :class:`repro.rt.AsyncioEffects` (real asyncio timers and TCP sockets).
+- :class:`repro.rt.AsyncioEffects` (its own calendar, drained once per
+  asyncio loop tick, and TCP sockets).
 
 Substrate contract
 ------------------
@@ -24,16 +25,18 @@ A substrate must provide:
 ``schedule(event, delay=0.0, priority=PRIORITY_NORMAL)``
     Arrange for ``event``'s callbacks to run ``delay`` seconds from now.
     The virtual substrate guarantees a deterministic total order over
-    ``(time, priority, sequence)``; the real substrate guarantees only
-    per-``call_soon`` FIFO -- see DESIGN §16 for exactly what that means
-    for determinism.
+    ``(time, priority, sequence)``; the real substrate dispatches
+    zero-delay events in schedule order and timers in ``(deadline,
+    sequence)`` order, never before their deadline, and ignores
+    ``priority`` -- see DESIGN §16 for exactly what that means for
+    determinism.
 ``_active_process``
     Writable slot the process trampoline uses to expose the currently
     resuming generator (``active_process`` reads it).
 ``_note_cancelled()``
     Bookkeeping hook invoked by :meth:`Timeout.cancel`; the virtual
-    substrate compacts tombstones, the real substrate ignores it (a
-    cancelled asyncio timer fires into a no-op).
+    substrate compacts tombstones, the real substrate ignores it (its
+    calendar skips a tombstone when it pops one).
 
 Everything else on this class is implemented once, in terms of that
 contract, and inherited by both substrates.
@@ -89,8 +92,8 @@ class Effects:
     def _note_cancelled(self) -> None:
         """A scheduled entry was tombstoned (see ``Timeout.cancel``).
 
-        Substrates with an inspectable calendar compact it; the default
-        is a no-op (an asyncio timer firing into a tombstone is harmless).
+        Substrates whose calendar can bloat compact it; the default is
+        a no-op (skipping a tombstone when it is popped is enough).
         """
 
     # -- event factories (implemented once, shared by substrates) ----------

@@ -13,6 +13,12 @@ and retransmission see exactly the frames they saw before; only their
 packing into ``send`` calls changes.  There is no size threshold and no
 timer: a frame waits at most the rest of the tick that produced it.
 
+A tick, for frames produced by kernel events, is one drain of
+:class:`~repro.rt.effects.AsyncioEffects`' calendar: every ready event
+and every deadline that has passed run inside one loop callback, so the
+``flush`` armed by the first reply of a drain runs after the last one
+and a shard's replies to one batch of requests leave together.
+
 A connection that is closing swallows its batch.  That is a lost frame,
 which the protocol already survives: the client's ``RetryPolicy``
 retransmits the request, the server's reply cache answers the duplicate.

@@ -259,6 +259,7 @@ async def serve_shard(
                 "stats": dump_shard_state(server, config)["stats"],
                 "requests_dropped": dropped[0],
                 "wire": wire.as_dict(),
+                "kernel": env.kernel_stats(),
             }
         elif op == "shutdown":
             dump = dump_shard_state(server, config)

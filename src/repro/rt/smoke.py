@@ -193,6 +193,7 @@ async def run_smoke(config: SmokeConfig) -> _t.Dict[str, _t.Any]:
         replies_received=transport.replies_received,
         unmatched_replies=transport.unmatched_replies,
     )
+    report["kernel_stats"] = env.kernel_stats()
     report["client_stats"] = [
         {
             "client_id": client.client_id,
@@ -313,9 +314,7 @@ def run_oracles(
                 for fo, length, _dev, vo, _state in entry["extents"]:
                     handle.seek(vo)
                     data = handle.read(length)
-                    if len(data) < length or any(
-                        b != want for b in data
-                    ):
+                    if len(data) < length or data.count(want) != length:
                         oracles["data_pattern"].append(
                             f"file {file_id} extent [{vo}, "
                             f"{vo + length}) does not hold pattern "

@@ -10,8 +10,12 @@ bytes decode to the original frames, in order.
 import asyncio
 
 from repro.core.kernel.events import Event
+from repro.mds.allocation import SpaceManager
+from repro.mds.namespace import Namespace
+from repro.mds.server import MdsParameters, MetadataServer
 from repro.mds.sharding import ShardRouter
-from repro.net.messages import GetattrPayload, RpcMessage
+from repro.net.messages import CreatePayload, GetattrPayload, RpcMessage
+from repro.net.rpc import RpcServerPort
 from repro.net.wire import FrameDecoder, request_to_wire, result_to_wire
 from repro.rt.effects import AsyncioEffects
 from repro.rt.framing import FrameWriter, WireCounters
@@ -201,5 +205,54 @@ def test_replies_of_one_tick_leave_in_one_write():
         replies.send_reply(messages[0])
         await _tick()
         assert len(writer.writes) == 1
+
+    asyncio.run(main())
+
+
+def test_shard_answers_one_tick_of_requests_in_one_write():
+    """The whole service chain -- inbox, four daemons, namespace lock,
+    modelled service timers, reply -- of every request a tick delivered
+    runs inside one drain of the substrate's calendar, so the replies
+    leave together."""
+
+    async def main():
+        env = AsyncioEffects()
+        server = MetadataServer(
+            env,
+            MdsParameters(
+                num_daemons=4, svc_message=0.0, svc_op=0.0, svc_apply=0.0
+            ),
+            Namespace(),
+            SpaceManager(volume_size=1 << 20),
+            RpcServerPort(env),
+            downlinks={},
+        )
+        writer = RecordingWriter()
+        counters = WireCounters()
+        server.port.register(
+            1, _ConnReplyTransport(FrameWriter(env.loop, writer, counters))
+        )
+        for xid in range(1, 17):
+            server.port.deliver(
+                RpcMessage(
+                    kind="create",
+                    payload=CreatePayload(name=f"f{xid}"),
+                    client_id=1,
+                    reply_event=Event(env),
+                    send_time=0.0,
+                    xid=xid,
+                )
+            )
+        await _tick()  # the drain
+        await _tick()  # the flush it armed
+        (chunk,) = writer.writes
+        replies = _decode(chunk)
+        assert [r["xid"] for r in replies] == list(range(1, 17))
+        assert [r["result"]["name"] for r in replies] == [
+            f"f{xid}" for xid in range(1, 17)
+        ]
+        assert (counters.frames_sent, counters.socket_writes) == (16, 1)
+        assert server.requests_processed == 16
+        env.check_failures()
 
     asyncio.run(main())

@@ -115,6 +115,11 @@ def test_live_two_shard_cluster_passes_oracles(tmp_path):
     assert wire["frames_sent"] == wire["requests_sent"]
     for end in [wire] + [s["wire"] for s in report["shard_stats"]]:
         assert 0 < end["socket_writes"] <= end["frames_sent"]
+    # ... and all three say how many kernel events a loop tick served.
+    for kernel in [report["kernel_stats"]] + [
+        s["kernel"] for s in report["shard_stats"]
+    ]:
+        assert 0 < kernel["drains"] <= kernel["events"]
     # serve exited cleanly after the ctl shutdown.
     assert proc.returncode == 0
     # Both shards persisted dumps.
@@ -252,6 +257,26 @@ def test_oracles_flag_wrong_bytes_on_disk(tmp_path):
     )
     assert not report["ok"]
     assert report["oracles"]["data_pattern"]
+
+    # One wrong byte anywhere in an extent, or a read that comes up
+    # short, is enough -- and nothing else is flagged for it.
+    good = pattern_byte(1)
+    for wrong_at in (0, 2048, 4095, "short read"):
+        path = _write_volume(tmp_path, [(0, 4096, good)])
+        if wrong_at == "short read":
+            os.truncate(path, 4095)
+        else:
+            _write_volume(
+                tmp_path, [(0, 4096, good), (wrong_at, 1, good ^ 1)]
+            )
+        report = run_oracles(
+            [_dump(0, files=[_file(1, [ext])]), _dump(1)],
+            path,
+            {1: 4096},
+            _config(tmp_path),
+        )
+        flagged = {k: len(v) for k, v in report["oracles"].items() if v}
+        assert flagged == {"data_pattern": 1}, (wrong_at, flagged)
 
 
 def test_oracles_flag_missing_and_size_mismatched_files(tmp_path):
