@@ -131,7 +131,8 @@ class Nfs3Server:
 
     def _daemon(self) -> _t.Generator:
         while True:
-            message: RpcMessage = yield self.port.next_request()
+            # The simulated uplink delivers groups of one.
+            (message,) = yield self.port.next_group()
             payload = message.payload
             service = self.svc_message
             if message.data_bytes:

@@ -114,7 +114,7 @@ class Pvfs2DataServer:
 
     def _daemon(self) -> _t.Generator:
         while True:
-            message: RpcMessage = yield self.port.next_request()
+            (message,) = yield self.port.next_group()
             yield self.env.timeout(self.svc_message)
             payload = message.payload
             if isinstance(payload, PvfsIo) and message.kind == "write":
@@ -209,7 +209,7 @@ class Pvfs2MetaServer:
 
     def _daemon(self) -> _t.Generator:
         while True:
-            message: RpcMessage = yield self.port.next_request()
+            (message,) = yield self.port.next_group()
             yield self.env.timeout(self.svc_message)
             payload = message.payload
             if isinstance(payload, PvfsCreate):

@@ -1,9 +1,11 @@
 """The metadata server's RPC service model.
 
 The MDS runs a configurable number of **server daemon threads** (the
-x-axis of Fig. 7).  Each daemon loops: take a request from the shared
-inbox, spend CPU parsing and processing it, apply the state change under
-the namespace lock, and send the reply.
+x-axis of Fig. 7).  Each daemon loops: take a request group from the
+shared inbox, spend CPU parsing and processing it, apply the state
+changes under the namespace lock, and send the replies.  In virtual time
+every group holds one request; a live shard groups the requests of one
+socket read (:mod:`repro.rt.server`).
 
 Two costs shape Fig. 7:
 
@@ -234,51 +236,74 @@ class MetadataServer:
             return
 
     def _daemon_iterations(self, daemon_id: int) -> _t.Generator:
+        """Serve one inbox group per iteration.
+
+        A group of ``n`` messages carrying ``ops`` operations in all
+        costs one parse delay of ``(n * svc_message + ops * svc_op)``
+        and one apply delay of ``ops * svc_apply`` under one lock
+        acquisition (each times the contention scale): every message is
+        still charged its own parse, every op its own processing and
+        apply.  The messages are applied and answered in order; spans,
+        lease renewal and the per-request counters stay per message.
+        """
+        params = self.params
         while True:
-            message: RpcMessage = yield self.port.next_request()
+            group: _t.Tuple[RpcMessage, ...] = yield self.port.next_group()
             self._active += 1
             start = self.env.now
-            if self.gc is not None:
-                self.gc.renew(message.client_id)
-
-            ops = message.op_count()
+            messages = ops = 0
+            spans = None if self.obs is None else []
+            for message in group:
+                if self.gc is not None:
+                    self.gc.renew(message.client_id)
+                count = message.op_count()
+                messages += 1
+                ops += count
+                if spans is not None:
+                    spans.append(
+                        self.obs.tracer.begin(
+                            "mds_handle",
+                            "mds",
+                            node="mds",
+                            actor=f"mds-daemon-{daemon_id}",
+                            parent=message.trace_span_id,
+                            update_ids=message.trace_ids,
+                            kind=message.kind,
+                            ops=count,
+                            queue_wait=start - message.arrive_time,
+                        )
+                    )
             scale = self._contention_scale()
-            handle_span = None
-            if self.obs is not None:
-                handle_span = self.obs.tracer.begin(
-                    "mds_handle",
-                    "mds",
-                    node="mds",
-                    actor=f"mds-daemon-{daemon_id}",
-                    parent=message.trace_span_id,
-                    update_ids=message.trace_ids,
-                    kind=message.kind,
-                    ops=ops,
-                    queue_wait=start - message.arrive_time,
-                )
             # Parse + per-op processing (parallel across daemons).
             yield self.env.timeout(
-                (self.params.svc_message + ops * self.params.svc_op) * scale
+                (messages * params.svc_message + ops * params.svc_op) * scale
             )
             # Apply under the namespace lock (serialised).
             with self._lock.request() as req:
                 yield req
                 yield self.env.timeout(
-                    ops * self.params.svc_apply * self._contention_scale()
+                    ops * params.svc_apply * self._contention_scale()
                 )
-                result = self._apply(message)
+                for message in group:
+                    # Where ``reply`` puts it; nothing else runs before
+                    # the replies below, so no other daemon can see it.
+                    message.result = self._apply(message)
 
             self._active -= 1
-            self.requests_processed += 1
+            elapsed = self.env.now - start
+            self.requests_processed += messages
             self.ops_processed += ops
-            self.busy_time += self.env.now - start
-            self.service_hist.observe(self.env.now - start)
-            if handle_span is not None:
-                self.obs.tracer.end(handle_span)
-            # Socket-backed deployments register transports with the
-            # port and carry no modelled downlinks at all.
-            downlink = self.downlinks.get(message.client_id)
-            self.port.reply(message, result, downlink)
+            # One daemon was busy for the group, however many it held.
+            self.busy_time += elapsed
+            if spans is not None:
+                for span in spans:
+                    self.obs.tracer.end(span)
+            for message in group:
+                self.service_hist.observe(elapsed)
+                # Socket-backed deployments register transports with the
+                # port and carry no modelled downlinks at all.
+                downlink = self.downlinks.get(message.client_id)
+                self.port.reply(message, message.result, downlink)
 
     def _contention_scale(self) -> float:
         extra_active = max(0, self._active - 1)

@@ -77,12 +77,18 @@ class RetryPolicy:
 
 
 class RpcServerPort:
-    """The server side: an inbox of delivered requests.
+    """The server side: an inbox of delivered request groups.
 
-    The MDS daemon threads loop on :meth:`next_request` and answer with
-    :meth:`reply`.  While ``down`` (server crashed), arriving requests
-    are dropped on the floor exactly like messages lost on the wire --
-    the sender's retry machinery is what recovers them.
+    The inbox holds *groups*: tuples of :class:`RpcMessage` in arrival
+    order, each served by one daemon under one modelled service delay.
+    The simulated uplink delivers groups of one (:meth:`deliver`); the
+    live shard edge delivers the requests of one socket read as a few
+    groups (:meth:`deliver_group`).  Server daemons loop on
+    :meth:`next_group` and answer each message with :meth:`reply`.
+    While ``down`` (server crashed), arriving requests are dropped on the
+    floor exactly like messages lost on the wire -- the sender's retry
+    machinery is what recovers them.  Every counter here (received,
+    dropped, lost, :attr:`queue_length`) counts requests, not groups.
     """
 
     def __init__(self, env: "Effects") -> None:
@@ -107,13 +113,14 @@ class RpcServerPort:
         """Attach the reply path for ``client_id``."""
         self.transports[client_id] = transport
 
-    def next_request(self):
-        """Event yielding the next queued :class:`RpcMessage`."""
+    def next_group(self):
+        """Event yielding the next queued group (a tuple of messages)."""
         return self.inbox.get()
 
     @property
     def queue_length(self) -> int:
-        return len(self.inbox)
+        """Requests waiting in the inbox."""
+        return sum(map(len, self.inbox.items))
 
     def partitioned(self) -> bool:
         """True while the clock sits inside a partition window."""
@@ -125,15 +132,26 @@ class RpcServerPort:
 
     def deliver(self, message: RpcMessage) -> None:
         """Called by the transport when a request arrives off the wire."""
+        self.deliver_group((message,))
+
+    def deliver_group(self, messages: _t.Sequence[RpcMessage]) -> None:
+        """Deliver ``messages`` as one group, served under one delay.
+
+        While down or partitioned the whole group is dropped, counted
+        per request.
+        """
+        count = len(messages)
         if self.down:
-            self.dropped_while_down += 1
+            self.dropped_while_down += count
             return
         if self.partition_windows and self.partitioned():
-            self.partition_drops += 1
+            self.partition_drops += count
             return
-        self.requests_received += 1
-        message.arrive_time = self.env.now
-        self.inbox.put(message)
+        self.requests_received += count
+        now = self.env.now
+        for message in messages:
+            message.arrive_time = now
+        self.inbox.put(tuple(messages))
 
     def fail(self) -> int:
         """Crash: lose all queued requests and abandon parked consumers.
@@ -144,7 +162,7 @@ class RpcServerPort:
         complete an orphaned get nobody consumes.
         """
         self.down = True
-        lost = len(self.inbox.drain())
+        lost = sum(map(len, self.inbox.drain()))
         self.inbox.cancel_gets()
         return lost
 

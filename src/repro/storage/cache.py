@@ -59,22 +59,39 @@ class PageCache:
 
     def write(self, file_id: int, offset: int, length: int) -> None:
         """Buffer a write: the range becomes resident and dirty."""
-        entry = self._touch(file_id)
-        before = entry.bytes_resident()
-        dirty_before = entry.dirty.total()
-        entry.resident.add(offset, offset + length)
-        entry.dirty.add(offset, offset + length)
-        self._resident_bytes += entry.bytes_resident() - before
-        self._account_dirty(entry, dirty_before)
-        self._evict_if_needed(exclude=file_id)
+        # Every client write comes through here and through mark_clean:
+        # the LRU touch and the dirty accounting are spelled out, and the
+        # eviction pass is only called when over capacity.
+        files = self._files
+        entry = files.get(file_id)
+        if entry is None:
+            entry = files[file_id] = _FileEntry()
+        else:
+            files.move_to_end(file_id)
+        resident, dirty = entry.resident, entry.dirty
+        before = resident.total()
+        dirty_before = dirty.total()
+        end = offset + length
+        resident.add(offset, end)
+        dirty.add(offset, end)
+        self._resident_bytes += resident.total() - before
+        dirty_after = dirty.total()
+        self._dirty_bytes += dirty_after - dirty_before
+        self._dirty_files += (dirty_after > 0) - (dirty_before > 0)
+        capacity = self.capacity
+        if capacity is not None and self._resident_bytes > capacity:
+            self._evict_if_needed(exclude=file_id)
 
     def mark_clean(self, file_id: int, offset: int, length: int) -> None:
         """The range's data write completed; it is stable on disk."""
         entry = self._files.get(file_id)
         if entry is not None:
-            dirty_before = entry.dirty.total()
-            entry.dirty.remove(offset, offset + length)
-            self._account_dirty(entry, dirty_before)
+            dirty = entry.dirty
+            dirty_before = dirty.total()
+            dirty.remove(offset, offset + length)
+            dirty_after = dirty.total()
+            self._dirty_bytes += dirty_after - dirty_before
+            self._dirty_files += (dirty_after > 0) - (dirty_before > 0)
 
     # -- reads ---------------------------------------------------------------
 
@@ -142,12 +159,6 @@ class PageCache:
         else:
             self._files.move_to_end(file_id)
         return entry
-
-    def _account_dirty(self, entry: _FileEntry, dirty_before: int) -> None:
-        """``entry``'s dirty total just changed from ``dirty_before``."""
-        dirty_after = entry.dirty.total()
-        self._dirty_bytes += dirty_after - dirty_before
-        self._dirty_files += (dirty_after > 0) - (dirty_before > 0)
 
     def _evict_if_needed(self, exclude: int) -> None:
         capacity = self.capacity

@@ -104,7 +104,7 @@ class IntervalSet:
 
     def total(self) -> int:
         """Total covered length."""
-        return sum(e - s for s, e in self)
+        return sum(self._ends) - sum(self._starts)
 
     def __iter__(self) -> _t.Iterator[_t.Tuple[int, int]]:
         return iter(zip(self._starts, self._ends))

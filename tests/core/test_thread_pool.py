@@ -27,7 +27,7 @@ def make_pool(env, max_threads=9, max_queue_len=90, control_period=0.1,
 
     def server(env):
         while True:
-            msg = yield port.next_request()
+            (msg,) = yield port.next_group()
             yield env.timeout(server_delay)
             results = [True] * msg.op_count()
             port.reply(msg, results, down)

@@ -39,7 +39,7 @@ def make_stack(env):
 def echo_server(env, port, down):
     """A trivial server replying 'ack' to everything instantly."""
     while True:
-        msg = yield port.next_request()
+        (msg,) = yield port.next_group()
         port.reply(msg, ("ack", msg.kind), down)
 
 
@@ -133,7 +133,7 @@ def test_multiple_clients_share_inbox(env):
 
     def server(env):
         while True:
-            msg = yield port.next_request()
+            (msg,) = yield port.next_group()
             served.append(msg.client_id)
             port.reply(msg, None, down)
 
@@ -188,7 +188,7 @@ def test_reply_routes_through_registered_transport(env):
     client, port, _, _ = make_retry_stack(env, retry=None)
 
     def server(env):
-        msg = yield port.next_request()
+        (msg,) = yield port.next_group()
         port.reply(msg, "routed")
 
     env.process(server(env))
@@ -222,7 +222,7 @@ def test_retry_recovers_a_lost_request(env):
 
     def server(env):
         while True:
-            msg = yield port.next_request()
+            (msg,) = yield port.next_group()
             port.reply(msg, "ok")
 
     env.process(server(env))
@@ -247,7 +247,7 @@ def test_duplicate_replies_are_harmless(env):
 
     def double_server(env):
         while True:
-            msg = yield port.next_request()
+            (msg,) = yield port.next_group()
             port.reply(msg, "first")
             port.reply(msg, "first")
 

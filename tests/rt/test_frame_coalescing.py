@@ -8,6 +8,7 @@ bytes decode to the original frames, in order.
 """
 
 import asyncio
+import time
 
 from repro.core.kernel.events import Event
 from repro.mds.allocation import SpaceManager
@@ -19,7 +20,7 @@ from repro.net.rpc import RpcServerPort
 from repro.net.wire import FrameDecoder, request_to_wire, result_to_wire
 from repro.rt.effects import AsyncioEffects
 from repro.rt.framing import FrameWriter, WireCounters
-from repro.rt.server import _ConnReplyTransport
+from repro.rt.server import ServiceCounters, _ConnReplyTransport, deliver_read
 from repro.rt.transport import RtClusterTransport
 
 
@@ -254,5 +255,57 @@ def test_shard_answers_one_tick_of_requests_in_one_write():
         assert (counters.frames_sent, counters.socket_writes) == (16, 1)
         assert server.requests_processed == 16
         env.check_failures()
+
+    asyncio.run(main())
+
+
+def test_shard_answers_one_read_of_requests_in_at_most_three_writes():
+    """Default service costs: the edge serves a read of 16 requests as 3
+    groups (``g = 7``), each answered at one apply timer, so at most
+    three socket writes carry the 16 replies."""
+
+    async def main():
+        env = AsyncioEffects()
+        server = MetadataServer(
+            env,
+            MdsParameters(),
+            Namespace(),
+            SpaceManager(volume_size=1 << 20),
+            RpcServerPort(env),
+            downlinks={},
+        )
+        writer = RecordingWriter()
+        counters = WireCounters()
+        server.port.register(
+            1, _ConnReplyTransport(FrameWriter(env.loop, writer, counters))
+        )
+        service = ServiceCounters()
+        requests = [
+            RpcMessage(
+                kind="create",
+                payload=CreatePayload(name=f"f{xid}"),
+                client_id=1,
+                reply_event=Event(env),
+                send_time=0.0,
+                xid=xid,
+            )
+            for xid in range(1, 17)
+        ]
+        deliver_read(server.port, requests, server.params, service)
+        deadline = time.monotonic() + 10.0
+        while counters.frames_sent < 16 and time.monotonic() < deadline:
+            await asyncio.sleep(0.001)
+        env.check_failures()
+        replies = [r for chunk in writer.writes for r in _decode(chunk)]
+        assert sorted(r["xid"] for r in replies) == list(range(1, 17))
+        assert 1 <= counters.socket_writes <= 3
+        assert server.requests_processed == 16
+        # The read itself is counted by the connection handler.
+        assert service.as_dict() == {
+            "reads": 0,
+            "requests": 16,
+            "groups": 3,
+            "requests_per_group": 16 / 3,
+        }
 
     asyncio.run(main())

@@ -120,6 +120,12 @@ def test_live_two_shard_cluster_passes_oracles(tmp_path):
         s["kernel"] for s in report["shard_stats"]
     ]:
         assert 0 < kernel["drains"] <= kernel["events"]
+    # Each shard served its reads' requests in groups of one or more,
+    # and counted a read once however many groups it became.
+    for shard in report["shard_stats"]:
+        service = shard["service"]
+        assert 0 < service["reads"] <= service["groups"]
+        assert service["groups"] <= service["requests"]
     # serve exited cleanly after the ctl shutdown.
     assert proc.returncode == 0
     # Both shards persisted dumps.
