@@ -73,6 +73,12 @@ class Effects:
     #: Substrates that use ``__slots__`` shadow this with a real slot.
     _active_process: _t.Optional[Process] = None
 
+    #: The shortest wait the substrate can make, in seconds: 0.0 on the
+    #: virtual clock, the poller's timeout rounding on a real loop.
+    #: Work shorter than this is not worth a timer of its own (the MDS
+    #: inbox sizes its service groups from it).
+    resolution: float = 0.0
+
     # -- substrate contract ------------------------------------------------
 
     @property

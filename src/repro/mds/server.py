@@ -1,11 +1,12 @@
 """The metadata server's RPC service model.
 
 The MDS runs a configurable number of **server daemon threads** (the
-x-axis of Fig. 7).  Each daemon loops: take a request group from the
-shared inbox, spend CPU parsing and processing it, apply the state
-changes under the namespace lock, and send the replies.  In virtual time
-every group holds one request; a live shard groups the requests of one
-socket read (:mod:`repro.rt.server`).
+x-axis of Fig. 7).  Each daemon loops: take a service group of requests
+from the shared inbox, spend CPU parsing and processing it, apply the
+state changes under the namespace lock, and send the replies.  A group
+holds at most as many requests as one shortest wait of the substrate
+(``Effects.resolution``) takes to parse, shared among the daemons
+waiting: one request in virtual time, up to 7 on a live shard.
 
 Two costs shape Fig. 7:
 
@@ -20,6 +21,8 @@ Two costs shape Fig. 7:
 
 from __future__ import annotations
 
+import math
+import sys
 import typing as _t
 from dataclasses import dataclass
 
@@ -111,9 +114,20 @@ class MetadataServer:
         self.downlinks = downlinks
         #: Observability bundle (``repro.obs.Instrumentation``) or None.
         self.obs = obs
+        # A service group holds at most as many requests as fill one
+        # shortest wait of the substrate, counting one op each: 1 in
+        # virtual time, 7 at the default costs on a live shard, no limit
+        # when service is free.
+        per_request = params.svc_message + params.svc_op
+        port.inbox.group_limit = (
+            max(1, math.ceil(env.resolution / per_request))
+            if per_request > 0.0
+            else sys.maxsize
+        )
         self._lock = Resource(env, capacity=1)
         self._active = 0
         self.requests_processed = 0
+        self.groups_served = 0
         self.ops_processed = 0
         self.stale_commits = 0
         self.busy_time = 0.0
@@ -236,7 +250,8 @@ class MetadataServer:
             return
 
     def _daemon_iterations(self, daemon_id: int) -> _t.Generator:
-        """Serve one inbox group per iteration.
+        """Serve one inbox group per iteration (see
+        :class:`~repro.net.rpc.RpcServerPort` for how it is formed).
 
         A group of ``n`` messages carrying ``ops`` operations in all
         costs one parse delay of ``(n * svc_message + ops * svc_op)``
@@ -292,6 +307,7 @@ class MetadataServer:
             self._active -= 1
             elapsed = self.env.now - start
             self.requests_processed += messages
+            self.groups_served += 1
             self.ops_processed += ops
             # One daemon was busy for the group, however many it held.
             self.busy_time += elapsed

@@ -76,24 +76,53 @@ class RetryPolicy:
         return timeout
 
 
-class RpcServerPort:
-    """The server side: an inbox of delivered request groups.
+class _Inbox(Store):
+    """Queued request messages; each served get takes a service group.
 
-    The inbox holds *groups*: tuples of :class:`RpcMessage` in arrival
-    order, each served by one daemon under one modelled service delay.
-    The simulated uplink delivers groups of one (:meth:`deliver`); the
-    live shard edge delivers the requests of one socket read as a few
-    groups (:meth:`deliver_group`).  Server daemons loop on
-    :meth:`next_group` and answer each message with :meth:`reply`.
-    While ``down`` (server crashed), arriving requests are dropped on the
-    floor exactly like messages lost on the wire -- the sender's retry
-    machinery is what recovers them.  Every counter here (received,
-    dropped, lost, :attr:`queue_length`) counts requests, not groups.
+    A put carries one delivery, queued whole before any waiting get is
+    served.  With ``n`` messages queued, ``w`` gets waiting (the one
+    being served included) and ``g`` = ``group_limit`` (set by the
+    server; 1 otherwise), the queue is shared as ``m = min(w, ceil(n /
+    g))`` groups and this get takes the first ``min(g, ceil(n / m))``
+    messages: idle daemons split a delivery evenly, a daemon coming back
+    to a backlog takes ``g``.  ``g = 1`` is one message per get.
+    """
+
+    group_limit = 1
+
+    def _store_item(self, messages: _t.Tuple[RpcMessage, ...]) -> None:
+        self.items.extend(messages)
+
+    def _take_item(
+        self, _get: _t.Any
+    ) -> _t.Optional[_t.Tuple[RpcMessage, ...]]:
+        items = self.items
+        if not items:
+            return None
+        limit = self.group_limit
+        if limit == 1:  # every simulated request: skip the arithmetic
+            return (items.popleft(),)
+        queued = len(items)
+        groups = min(len(self._gets), -(-queued // limit))
+        size = min(limit, -(-queued // groups))
+        return tuple([items.popleft() for _ in range(size)])
+
+
+class RpcServerPort:
+    """The server side: an inbox of delivered requests.
+
+    Transports hand arriving requests to :meth:`deliver`; server daemons
+    loop on :meth:`next_group` (a service group, see :class:`_Inbox`)
+    and answer each message with :meth:`reply`.  While ``down`` (server
+    crashed), arriving requests are dropped on the floor exactly like
+    messages lost on the wire -- the sender's retry machinery is what
+    recovers them.  Every counter here (received, dropped, lost,
+    :attr:`queue_length`) counts requests, not groups.
     """
 
     def __init__(self, env: "Effects") -> None:
         self.env = env
-        self.inbox: Store = Store(env)
+        self.inbox = _Inbox(env)
         self.requests_received = 0
         self.replies_sent = 0
         #: Server crashed: drop arriving requests instead of queueing.
@@ -114,13 +143,13 @@ class RpcServerPort:
         self.transports[client_id] = transport
 
     def next_group(self):
-        """Event yielding the next queued group (a tuple of messages)."""
+        """Event yielding the next service group (a tuple of messages)."""
         return self.inbox.get()
 
     @property
     def queue_length(self) -> int:
         """Requests waiting in the inbox."""
-        return sum(map(len, self.inbox.items))
+        return len(self.inbox.items)
 
     def partitioned(self) -> bool:
         """True while the clock sits inside a partition window."""
@@ -130,15 +159,12 @@ class RpcServerPort:
                 return True
         return False
 
-    def deliver(self, message: RpcMessage) -> None:
-        """Called by the transport when a request arrives off the wire."""
-        self.deliver_group((message,))
+    def deliver(self, *messages: RpcMessage) -> None:
+        """Called by the transport when requests arrive off the wire.
 
-    def deliver_group(self, messages: _t.Sequence[RpcMessage]) -> None:
-        """Deliver ``messages`` as one group, served under one delay.
-
-        While down or partitioned the whole group is dropped, counted
-        per request.
+        All of ``messages`` are queued before any waiting daemon is
+        served.  While down or partitioned they are dropped, counted per
+        request.
         """
         count = len(messages)
         if self.down:
@@ -151,7 +177,7 @@ class RpcServerPort:
         now = self.env.now
         for message in messages:
             message.arrive_time = now
-        self.inbox.put(tuple(messages))
+        self.inbox.put(messages)
 
     def fail(self) -> int:
         """Crash: lose all queued requests and abandon parked consumers.
@@ -162,7 +188,7 @@ class RpcServerPort:
         complete an orphaned get nobody consumes.
         """
         self.down = True
-        lost = sum(map(len, self.inbox.drain()))
+        lost = len(self.inbox.drain())
         self.inbox.cancel_gets()
         return lost
 

@@ -84,6 +84,10 @@ class AsyncioEffects(Effects):
     primitives are as thread-naive as asyncio itself.
     """
 
+    #: ``selectors``' epoll / poll round every timeout up to whole
+    #: milliseconds.
+    resolution = 1e-3
+
     def __init__(
         self, loop: _t.Optional[asyncio.AbstractEventLoop] = None
     ) -> None:

@@ -35,18 +35,21 @@ __all__ = ["WireCounters", "FrameWriter"]
 
 
 class WireCounters:
-    """Frames handed to sockets and the writes that carried them.
+    """Frames handed to sockets, the writes that carried them, and the
+    reads that carried the endpoint's inbound traffic (replies at a
+    client, requests at a shard).
 
     One instance is shared by every :class:`FrameWriter` of an endpoint
     (all of a client transport's shard connections; all of a shard's
-    client connections), so the endpoint reports one pair of totals.
+    client connections), so the endpoint reports one set of totals.
     """
 
-    __slots__ = ("frames_sent", "socket_writes")
+    __slots__ = ("frames_sent", "socket_writes", "socket_reads")
 
     def __init__(self) -> None:
         self.frames_sent = 0
         self.socket_writes = 0
+        self.socket_reads = 0
 
     def as_dict(self) -> _t.Dict[str, float]:
         """The report shape (``repro smoke --report``, ctl ``stats``)."""
@@ -55,6 +58,7 @@ class WireCounters:
             "frames_sent": self.frames_sent,
             "socket_writes": writes,
             "frames_per_write": self.frames_sent / writes if writes else 0.0,
+            "socket_reads": self.socket_reads,
         }
 
 

@@ -8,9 +8,8 @@ of the virtual calendar.  Only the edges are substrate-specific:
 
 - a per-connection reader decodes request frames (:mod:`repro.net.wire`)
   and drops them into the server's :class:`~repro.net.rpc.RpcServerPort`
-  inbox, exactly where the simulated uplink would -- the requests of one
-  socket read as a few groups, each served under one modelled service
-  delay (:func:`split_groups`);
+  inbox, exactly where the simulated uplink would, one delivery per
+  socket read; the inbox forms the service groups;
 - a per-connection reply transport (registered with the port under the
   requesting client's id, the rt analogue of
   :meth:`RpcServerPort.register`) frames replies back down the same
@@ -33,7 +32,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 import typing as _t
 
 from repro.mds.allocation import SpaceManager
@@ -57,98 +55,7 @@ __all__ = [
     "serve_shard",
     "dump_shard_state",
     "shard_stats",
-    "group_size",
-    "split_groups",
-    "deliver_read",
-    "ServiceCounters",
-    "WAIT_RESOLUTION",
 ]
-
-#: The shortest wait the shard's event loop can make, in seconds:
-#: ``selectors``' epoll / poll round every timeout up to whole
-#: milliseconds.  A group whose modelled service is shorter than this is
-#: not worth a service timer of its own.
-WAIT_RESOLUTION = 1e-3
-
-
-def group_size(params: MdsParameters) -> int:
-    """Requests whose modelled parse fills one :data:`WAIT_RESOLUTION`,
-    counting one op per request: ``ceil(WAIT_RESOLUTION / (svc_message +
-    svc_op))``, 0 when service is free.
-
-    Multi-op requests (commits carry up to the compound degree) make a
-    group's parse longer than that: on ``rt-commit`` a group of 7 can
-    model up to about 2.2 ms.  ``g`` is not sized from a read's actual
-    op count; it rests on the measured flat optimum of fixed sizes 4 / 8
-    / 16 around the single-op value (DESIGN section 16)."""
-    per_request = params.svc_message + params.svc_op
-    if per_request <= 0.0:
-        return 0
-    return math.ceil(WAIT_RESOLUTION / per_request)
-
-
-def split_groups(
-    requests: _t.Sequence[RpcMessage], params: MdsParameters
-) -> _t.List[_t.Sequence[RpcMessage]]:
-    """Split one socket read's requests (one or more) into service groups.
-
-    ``m = min(num_daemons, ceil(k / g))`` contiguous groups of
-    near-equal size (the first ``k mod m`` one larger), ``g`` from
-    :func:`group_size`; free service gives one group.  Conservative
-    against the model: each request still waits at least its own
-    modelled cost, each message is still charged ``svc_message``, and no
-    more groups than daemons are in service at once.
-    """
-    count = len(requests)
-    size = group_size(params)
-    groups = min(params.num_daemons, -(-count // size)) if size else 1
-    base, extra = divmod(count, groups)
-    out = []
-    start = 0
-    for index in range(groups):
-        end = start + base + (index < extra)
-        out.append(requests[start:end])
-        start = end
-    return out
-
-
-class ServiceCounters:
-    """How a shard served its socket reads: reads that carried
-    requests, the requests, and the service groups they became."""
-
-    __slots__ = ("reads", "requests", "groups")
-
-    def __init__(self) -> None:
-        self.reads = 0
-        self.requests = 0
-        self.groups = 0
-
-    def as_dict(self) -> _t.Dict[str, float]:
-        """The report shape (ctl ``stats`` -> ``service``)."""
-        groups = self.groups
-        return {
-            "reads": self.reads,
-            "requests": self.requests,
-            "groups": groups,
-            "requests_per_group": self.requests / groups if groups else 0.0,
-        }
-
-
-def deliver_read(
-    port: RpcServerPort,
-    requests: _t.Sequence[RpcMessage],
-    params: MdsParameters,
-    counters: ServiceCounters,
-) -> None:
-    """Deliver requests decoded from one socket read, in
-    :func:`split_groups`' groups.  The caller counts the read: a ctl
-    frame between requests splits one read into two deliveries."""
-    groups = split_groups(requests, params)
-    counters.requests += len(requests)
-    counters.groups += len(groups)
-    for group in groups:
-        port.deliver_group(group)
-
 
 class ShardConfig:
     """Everything one shard process needs to know."""
@@ -260,6 +167,7 @@ def shard_stats(server: MetadataServer) -> _t.Dict[str, _t.Any]:
     """The server's counters (dump and ctl ``stats`` -> ``stats``)."""
     return {
         "requests_processed": server.requests_processed,
+        "groups_served": server.groups_served,
         "ops_processed": server.ops_processed,
         "duplicate_requests_suppressed": server.duplicate_requests_suppressed,
         "duplicate_commits_suppressed": server.duplicate_commits_suppressed,
@@ -301,7 +209,6 @@ async def serve_shard(
     request_counter = [0]
     dropped = [0]
     wire = WireCounters()  # over every client connection
-    service = ServiceCounters()
 
     async def handle_connection(
         reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -321,10 +228,11 @@ async def serve_shard(
                     # trusted; sever the connection.
                     return
                 pending: _t.List[RpcMessage] = []
-                carried = False  # any request of this read delivered
+                carried = False  # the read held any request frame
                 for frame in frames:
                     kind = frame.get("frame")
                     if kind == "request":
+                        carried = True
                         request_counter[0] += 1
                         if (
                             config.drop_every
@@ -337,20 +245,17 @@ async def serve_shard(
                             message.client_id, reply_transport
                         )
                         pending.append(message)
-                        carried = True
                     elif kind == "ctl":
                         # Requests read before a ctl frame are in service
                         # before it is answered.
                         if pending:
-                            deliver_read(
-                                server.port, pending, server.params, service
-                            )
+                            server.port.deliver(*pending)
                             pending = []
                         await handle_ctl(frame, writer)
                     # Unknown frames are ignored (forward compatibility).
                 if pending:
-                    deliver_read(server.port, pending, server.params, service)
-                service.reads += carried
+                    server.port.deliver(*pending)
+                wire.socket_reads += carried
         except (asyncio.CancelledError, ConnectionError):
             return
         finally:
@@ -374,7 +279,6 @@ async def serve_shard(
                 "requests_dropped": dropped[0],
                 "wire": wire.as_dict(),
                 "kernel": env.kernel_stats(),
-                "service": service.as_dict(),
             }
         elif op == "shutdown":
             dump = dump_shard_state(server, config)

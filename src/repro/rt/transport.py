@@ -66,7 +66,7 @@ class RtClusterTransport:
         self._writers: _t.List[FrameWriter] = []
         self._readers: _t.List["asyncio.Task[None]"] = []
         self._inflight: _t.Dict[_t.Tuple[int, int], RpcMessage] = {}
-        #: Frames and socket writes over all shard connections.
+        #: Frames, socket writes and reads over all shard connections.
         self.wire = WireCounters()
         self.requests_sent = 0
         self.replies_received = 0
@@ -140,7 +140,9 @@ class RtClusterTransport:
                 data = await reader.read(65536)
                 if not data:
                     return
-                for frame in decoder.feed(data):
+                frames = decoder.feed(data)
+                self.wire.socket_reads += bool(frames)
+                for frame in frames:
                     self._dispatch_reply(frame)
         except asyncio.CancelledError:
             return

@@ -41,6 +41,11 @@ DIFFERENCES = {
         SIM: "== t0 + d",
         RT: ">= t0 + d",
     },
+    # test_resolution_is_the_shortest_wait
+    "shortest wait, s": {
+        SIM: 0.0,
+        RT: 1e-3,
+    },
 }
 
 MS1 = 2.0**-10  # 0.98 ms
@@ -164,6 +169,11 @@ def test_timer_never_fires_early(substrate):
     for delay, (t0, now) in zip(delays, marks):
         assert now - t0 >= delay
         assert holds(now, t0 + delay)
+
+
+def test_resolution_is_the_shortest_wait(substrate):
+    env, _value = substrate.run(lambda env: env.timeout(0))
+    assert env.resolution == DIFFERENCES["shortest wait, s"][substrate.name]
 
 
 def test_cancelled_timeout_never_runs_its_callbacks(substrate):

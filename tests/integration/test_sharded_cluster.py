@@ -33,6 +33,9 @@ def test_fault_free_sharded_run_is_balanced_and_clean():
     assert all(n > 0 for n in requests)
     # Aggregates equal the per-shard sums.
     assert cluster.metadata.requests_processed == sum(requests)
+    # Virtual time serves groups of one request.
+    for server in cluster.metadata.servers:
+        assert server.groups_served == server.requests_processed
 
     # The oracle ran its new cross-shard panel and found nothing.
     assert any(

@@ -1,9 +1,10 @@
 """Group service in virtual time: one parse timer, one lock grant and one
 apply timer per inbox group, every request still accounted on its own.
 
-The simulated uplink only ever delivers groups of one; these tests drive
-:meth:`RpcServerPort.deliver_group` directly, the way the live shard edge
-does, on :class:`~repro.sim.Environment`, where the cost is exact.
+These tests deliver several requests at once, the way a live shard does
+per socket read, on :class:`~repro.sim.Environment` given the live
+substrate's ``resolution`` (so groups form), where the cost is exact.
+How groups are formed is ``tests/rt/test_shard_groups.py``'s subject.
 """
 
 from repro.core.kernel.events import Event
@@ -12,11 +13,14 @@ from repro.mds.namespace import Namespace
 from repro.mds.server import MdsParameters, MetadataServer
 from repro.net.messages import CreatePayload, RpcMessage
 from repro.net.rpc import RpcServerPort
+from repro.rt.effects import AsyncioEffects
 from repro.sim import Environment
 
 
 class RecordingEnv(Environment):
     """Records the delay of every timeout it hands out."""
+
+    resolution = AsyncioEffects.resolution
 
     def __init__(self):
         super().__init__()
@@ -72,7 +76,7 @@ def test_a_group_costs_one_parse_one_lock_grant_one_apply():
     replies = Replies(env)
     server.port.register(1, replies)
 
-    server.port.deliver_group(_creates(env, 3))
+    server.port.deliver(*_creates(env, 3))
     env.run()
 
     params = server.params
@@ -88,6 +92,7 @@ def test_a_group_costs_one_parse_one_lock_grant_one_apply():
         (parse + apply, 3, "f3"),
     ]
     assert server.requests_processed == 3
+    assert server.groups_served == 1
     assert server.ops_processed == 3
     assert server.service_hist.count == 3
     assert server.busy_time == parse + apply  # one daemon, one group
@@ -96,17 +101,17 @@ def test_a_group_costs_one_parse_one_lock_grant_one_apply():
 def test_the_port_counts_a_group_as_its_requests():
     env = Environment()
     port = RpcServerPort(env)
-    port.deliver_group(_creates(env, 3))
+    port.deliver(*_creates(env, 3))
     assert (port.requests_received, port.queue_length) == (3, 3)
     assert port.fail() == 3
     assert port.queue_length == 0
 
-    port.deliver_group(_creates(env, 3))  # while down
+    port.deliver(*_creates(env, 3))  # while down
     assert port.dropped_while_down == 3
 
     port.resume()
     port.partition_windows = [(0.0, 1.0)]
-    port.deliver_group(_creates(env, 3))  # while partitioned
+    port.deliver(*_creates(env, 3))  # while partitioned
     assert port.partition_drops == 3
     assert port.queue_length == 0
     assert port.requests_received == 3

@@ -20,7 +20,7 @@ from repro.net.rpc import RpcServerPort
 from repro.net.wire import FrameDecoder, request_to_wire, result_to_wire
 from repro.rt.effects import AsyncioEffects
 from repro.rt.framing import FrameWriter, WireCounters
-from repro.rt.server import ServiceCounters, _ConnReplyTransport, deliver_read
+from repro.rt.server import _ConnReplyTransport
 from repro.rt.transport import RtClusterTransport
 
 
@@ -94,6 +94,7 @@ def test_requests_of_one_tick_leave_in_one_write():
             "frames_sent": 40,
             "socket_writes": 1,
             "frames_per_write": 40.0,
+            "socket_reads": 0,
         }
         await transport.aclose()
 
@@ -170,6 +171,7 @@ def test_request_to_a_closing_connection_is_dropped_not_written():
             "frames_sent": 0,
             "socket_writes": 0,
             "frames_per_write": 0.0,
+            "socket_reads": 0,
         }
         assert not message.reply_event.triggered
         transport.send_request(message)  # the retransmission
@@ -260,9 +262,9 @@ def test_shard_answers_one_tick_of_requests_in_one_write():
 
 
 def test_shard_answers_one_read_of_requests_in_at_most_three_writes():
-    """Default service costs: the edge serves a read of 16 requests as 3
-    groups (``g = 7``), each answered at one apply timer, so at most
-    three socket writes carry the 16 replies."""
+    """Default service costs: the inbox serves one delivery of 16
+    requests as 3 groups (``g = 7``), each answered at one apply timer,
+    so at most three socket writes carry the 16 replies."""
 
     async def main():
         env = AsyncioEffects()
@@ -279,7 +281,6 @@ def test_shard_answers_one_read_of_requests_in_at_most_three_writes():
         server.port.register(
             1, _ConnReplyTransport(FrameWriter(env.loop, writer, counters))
         )
-        service = ServiceCounters()
         requests = [
             RpcMessage(
                 kind="create",
@@ -291,7 +292,7 @@ def test_shard_answers_one_read_of_requests_in_at_most_three_writes():
             )
             for xid in range(1, 17)
         ]
-        deliver_read(server.port, requests, server.params, service)
+        server.port.deliver(*requests)
         deadline = time.monotonic() + 10.0
         while counters.frames_sent < 16 and time.monotonic() < deadline:
             await asyncio.sleep(0.001)
@@ -300,12 +301,6 @@ def test_shard_answers_one_read_of_requests_in_at_most_three_writes():
         assert sorted(r["xid"] for r in replies) == list(range(1, 17))
         assert 1 <= counters.socket_writes <= 3
         assert server.requests_processed == 16
-        # The read itself is counted by the connection handler.
-        assert service.as_dict() == {
-            "reads": 0,
-            "requests": 16,
-            "groups": 3,
-            "requests_per_group": 16 / 3,
-        }
+        assert server.groups_served == 3
 
     asyncio.run(main())
