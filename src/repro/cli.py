@@ -173,7 +173,7 @@ def _check_writable(path: str) -> _t.Optional[str]:
 
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
-        return f"error: trace output directory does not exist: {parent}"
+        return f"error: output directory does not exist: {parent}"
     return None
 
 
@@ -620,9 +620,10 @@ def cmd_slo(args: argparse.Namespace) -> int:
         write_chrome_trace,
     )
 
-    if args.trace and (err := _check_writable(args.trace)):
-        print(err, file=sys.stderr)
-        return 2
+    for path in (args.trace, args.out):
+        if path and (err := _check_writable(path)):
+            print(err, file=sys.stderr)
+            return 2
     spec = None
     if args.slo:
         spec = _parse_slo(args.slo)
@@ -888,6 +889,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     from repro.check import explore
     from repro.check.soak import seed_bug_tweak
 
+    if args.out and (err := _check_writable(args.out)):
+        print(err, file=sys.stderr)
+        return 2
     # Self-test hook: plant a deliberate bug (e.g. disable the MDS's
     # durable commit dedup table) and prove the checker finds it and
     # shrinks it to a minimal replayable schedule.
@@ -1119,6 +1123,9 @@ def cmd_smoke(args: argparse.Namespace) -> int:
 
     from repro.rt.smoke import SmokeConfig, run_smoke
 
+    if args.report and (err := _check_writable(args.report)):
+        print(err, file=sys.stderr)
+        return 2
     cluster_path = os.path.join(args.data_dir, "cluster.json")
     try:
         with open(cluster_path) as handle:

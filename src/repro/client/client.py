@@ -81,7 +81,6 @@ class RedbudClient(FileSystemAPI):
         fixed_compound_degree: _t.Optional[int] = None,
         device_id: int = 0,
         dirty_limit: int = 64 * 1024 * 1024,
-        obs: _t.Optional[_t.Any] = None,
         degrade_after_timeouts: int = 3,
         degrade_backlog: _t.Optional[int] = None,
         delegation_pools: _t.Optional[
@@ -112,7 +111,7 @@ class RedbudClient(FileSystemAPI):
         self.delegation = self._pools.get(0)
         self.device_id = device_id
         #: Observability bundle (``repro.obs.Instrumentation``) or None.
-        self.obs = obs
+        self.obs = env.obs
         self._node = f"client-{client_id}"
 
         self.commit_queue: _t.Optional[CommitQueue] = None
@@ -125,7 +124,6 @@ class RedbudClient(FileSystemAPI):
             self.commit_queue = CommitQueue(
                 env,
                 capacity=commit_queue_capacity,
-                obs=obs,
                 node=self._node,
                 shard_of=(shard_of_file if num_shards > 1 else None),
             )
@@ -134,7 +132,6 @@ class RedbudClient(FileSystemAPI):
                 uplink=rpc.transport.uplink,
                 policy=compound_policy,
                 fixed_degree=fixed_compound_degree,
-                obs=obs,
                 node=self._node,
             )
             self.daemon_ctx = CommitDaemonContext(
@@ -143,7 +140,6 @@ class RedbudClient(FileSystemAPI):
                 rpc,
                 self.compound,
                 on_committed=self._on_record_committed,
-                obs=obs,
                 node=self._node,
                 witnesses=witnesses,
             )
@@ -152,7 +148,7 @@ class RedbudClient(FileSystemAPI):
             )
 
         self.protocol: CommitProtocol = make_protocol(
-            commit_mode, env, rpc, self.commit_queue, obs=obs, node=self._node
+            commit_mode, env, rpc, self.commit_queue, node=self._node
         )
 
         # Graceful degradation (§"Failure model" in DESIGN.md): when the
@@ -167,7 +163,7 @@ class RedbudClient(FileSystemAPI):
         self._sync_fallback: _t.Optional[SynchronousCommitProtocol] = None
         if needs_queue and rpc.retry is not None:
             self._sync_fallback = SynchronousCommitProtocol(
-                env, rpc, obs=obs, node=self._node
+                env, rpc, node=self._node
             )
         self.degrade_after_timeouts = degrade_after_timeouts
         self.degrade_backlog = (

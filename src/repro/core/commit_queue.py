@@ -36,7 +36,6 @@ class CommitQueue:
         self,
         env: "Effects",
         capacity: int = 4096,
-        obs: _t.Optional[_t.Any] = None,
         node: str = "",
         shard_of: _t.Optional[_t.Callable[[int], int]] = None,
     ) -> None:
@@ -51,7 +50,7 @@ class CommitQueue:
         #: shard) and :meth:`checkout_stable` keeps batches single-shard.
         self._shard_of = shard_of
         #: Observability bundle (``repro.obs.Instrumentation``) or None.
-        self.obs = obs
+        self.obs = env.obs
         #: Node label for spans ("client-3"); cosmetic.
         self.node = node
         #: Resident records keyed by arrival sequence.  Dict insertion

@@ -52,7 +52,6 @@ class CompoundController:
         uplink: Link,
         policy: CompoundPolicy = CompoundPolicy(),
         fixed_degree: _t.Optional[int] = None,
-        obs: _t.Optional[_t.Any] = None,
         node: str = "",
     ) -> None:
         if fixed_degree is not None and fixed_degree <= 0:
@@ -62,7 +61,7 @@ class CompoundController:
         self.policy = policy
         self.fixed_degree = fixed_degree
         #: Observability bundle (``repro.obs.Instrumentation``) or None.
-        self.obs = obs
+        self.obs = env.obs
         self.node = node
         self._degree = fixed_degree if fixed_degree is not None else 1
         #: Per-destination-shard latency estimates: each metadata shard

@@ -63,7 +63,6 @@ class CommitDaemonContext:
         rpc: RpcClient,
         controller: CompoundController,
         on_committed: _t.Optional[_t.Callable[[CommitRecord], None]] = None,
-        obs: _t.Optional[_t.Any] = None,
         node: str = "",
         witnesses: _t.Optional[_t.Any] = None,
     ) -> None:
@@ -74,7 +73,7 @@ class CommitDaemonContext:
         self.on_committed = on_committed
         self.stats = CommitDaemonStats()
         #: Observability bundle (``repro.obs.Instrumentation``) or None.
-        self.obs = obs
+        self.obs = env.obs
         self.node = node
         #: CURP witness set (:class:`repro.core.witness.WitnessSet`) of
         #: a replicated cluster, or None for the ordered-only path.

@@ -3,10 +3,10 @@
 Every client, MDS, commit-queue and witness routine in this reproduction
 is a generator that ``yield``\\ s events.  :class:`Effects` is the
 *capability object* those generators receive instead of a concrete
-simulator environment: it provides time (``now``, ``sleep``), scheduling
-(``schedule``, ``spawn``), event construction (``event``, ``any_of``,
-``all_of``) and the optional I/O capabilities (``send``, ``recv``,
-``disk_submit``) plus RNG and trace hooks.
+simulator environment: it provides time (``now``, ``timeout``),
+scheduling (``schedule``, ``process``), event construction (``event``,
+``any_of``, ``all_of``) and the observability bundle (``obs``) every
+protocol object reads once, at construction.
 
 Two substrates implement the contract:
 
@@ -33,6 +33,9 @@ A substrate must provide:
 ``_active_process``
     Writable slot the process trampoline uses to expose the currently
     resuming generator (``active_process`` reads it).
+``obs``
+    Writable, ``None`` until ``repro.obs.Instrumentation.attach`` sets
+    it to the bundle.
 ``_note_cancelled()``
     Bookkeeping hook invoked by :meth:`Timeout.cancel`; the virtual
     substrate compacts tombstones, the real substrate ignores it (its
@@ -54,7 +57,6 @@ from repro.core.kernel.events import (
     Timeout,
 )
 from repro.core.kernel.process import Process
-from repro.core.kernel.resources import Resource, Store
 
 __all__ = ["Effects"]
 
@@ -78,6 +80,12 @@ class Effects:
     #: Work shorter than this is not worth a timer of its own (the MDS
     #: inbox sizes its service groups from it).
     resolution: float = 0.0
+
+    #: Observability bundle (``repro.obs.Instrumentation``) or None.
+    #: ``Instrumentation.attach`` sets it; protocol objects copy it to
+    #: their own ``obs`` in ``__init__``.  Substrates that use
+    #: ``__slots__`` shadow this with a real slot.
+    obs: _t.Optional[_t.Any] = None
 
     # -- substrate contract ------------------------------------------------
 
@@ -114,17 +122,13 @@ class Effects:
         return Event(self)
 
     def timeout(self, delay: float, value: _t.Any = None) -> Timeout:
-        """An event that fires ``delay`` seconds from now."""
-        return Timeout(self, delay, value)
-
-    def sleep(self, delay: float, value: _t.Any = None) -> Timeout:
-        """Alias for :meth:`timeout` -- the effects verb.
+        """An event that fires ``delay`` seconds from now.
 
         Returned handles support explicit ``.cancel()``; code that races
-        a sleep against another event (RPC retry timers) must cancel the
-        loser rather than rely on substrate-specific cleanup.
+        a timeout against another event (RPC retry timers) must cancel
+        the loser rather than rely on substrate-specific cleanup.
         """
-        return self.timeout(delay, value)
+        return Timeout(self, delay, value)
 
     def process(
         self,
@@ -134,14 +138,6 @@ class Effects:
         """Start a new process running ``generator``."""
         return Process(self, generator, name=name)
 
-    def spawn(
-        self,
-        generator: _t.Generator[Event, _t.Any, _t.Any],
-        name: _t.Optional[str] = None,
-    ) -> Process:
-        """Alias for :meth:`process` -- the effects verb."""
-        return self.process(generator, name=name)
-
     def all_of(self, events: _t.Iterable[Event]) -> AllOf:
         """An event that fires when every event in ``events`` has."""
         return AllOf(self, events)
@@ -149,75 +145,3 @@ class Effects:
     def any_of(self, events: _t.Iterable[Event]) -> AnyOf:
         """An event that fires when any event in ``events`` has."""
         return AnyOf(self, events)
-
-    def store(self, capacity: float = float("inf")) -> Store:
-        """A FIFO buffer bound to this substrate."""
-        return Store(self, capacity)
-
-    def resource(self, capacity: int = 1) -> Resource:
-        """A counted semaphore bound to this substrate."""
-        return Resource(self, capacity)
-
-    # -- I/O capabilities (substrate-optional) -----------------------------
-
-    def send(self, channel: _t.Any, payload: _t.Any) -> Event:
-        """Transmit ``payload`` on ``channel``; event fires when sent.
-
-        The virtual substrate models transmission with
-        :class:`repro.net.link.Link` objects instead; only the real
-        substrate (framed TCP) implements this verb.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} provides no send capability"
-        )
-
-    def recv(self, channel: _t.Any) -> Event:
-        """Event yielding the next message received on ``channel``."""
-        raise NotImplementedError(
-            f"{type(self).__name__} provides no recv capability"
-        )
-
-    def disk_submit(
-        self,
-        volume_offset: int,
-        length: int,
-        file_id: int = 0,
-        sync: bool = False,
-    ) -> Event:
-        """Submit a block write; event fires when durable.
-
-        The virtual substrate routes this through the modelled disk
-        array (:class:`repro.storage.blockdev.BlockDevice`); the real
-        substrate writes an on-disk volume file.  Raises until a disk
-        capability is attached with :meth:`attach_disk`.
-        """
-        disk = getattr(self, "_disk", None)
-        if disk is None:
-            raise NotImplementedError(
-                f"{type(self).__name__} has no disk capability attached"
-            )
-        return disk.submit_write(volume_offset, length, file_id, sync=sync)
-
-    def attach_disk(self, disk: _t.Any) -> None:
-        """Install the object backing :meth:`disk_submit`.
-
-        ``disk`` needs a ``submit_write(volume_offset, length, file_id,
-        sync=) -> Event`` method.  Substrates with ``__slots__`` that do
-        not include ``_disk`` cannot carry one (the simulator wires
-        block devices explicitly instead).
-        """
-        self._disk = disk  # type: ignore[attr-defined]
-
-    # -- RNG and trace hooks ----------------------------------------------
-
-    #: Observability bundle (``repro.obs.Instrumentation``) or None.
-    #: Protocol objects take their own ``obs`` parameters today; the
-    #: hook exists so substrate-level code (rt server loops) can share
-    #: one without threading it through every constructor.
-    obs: _t.Optional[_t.Any] = None
-
-    #: Root :class:`repro.util.rng.StreamRNG` for substrate-level draws,
-    #: or None.  Protocol objects keep taking explicit ``*_rng`` streams
-    #: (determinism depends on the split discipline), but the capability
-    #: travels with the substrate for code that needs ad-hoc jitter.
-    rng: _t.Optional[_t.Any] = None

@@ -67,12 +67,11 @@ class SynchronousCommitProtocol(CommitProtocol):
         self,
         env: "Effects",
         rpc: RpcClient,
-        obs: _t.Optional[_t.Any] = None,
         node: str = "",
     ) -> None:
         self.env = env
         self.rpc = rpc
-        self.obs = obs
+        self.obs = env.obs
         self.node = node
         self.commits_sent = 0
 
@@ -162,12 +161,11 @@ def make_protocol(
     env: "Effects",
     rpc: RpcClient,
     queue: _t.Optional[CommitQueue],
-    obs: _t.Optional[_t.Any] = None,
     node: str = "",
 ) -> CommitProtocol:
     """Factory mapping a mode name to its protocol strategy."""
     if mode == "synchronous":
-        return SynchronousCommitProtocol(env, rpc, obs=obs, node=node)
+        return SynchronousCommitProtocol(env, rpc, node=node)
     if mode == "delayed":
         if queue is None:
             raise ValueError("delayed commit requires a commit queue")

@@ -48,7 +48,6 @@ class WitnessSet:
         num_witnesses: int,
         capacity: int,
         rtt: float,
-        obs: _t.Optional[_t.Any] = None,
     ) -> None:
         if num_witnesses < 1:
             raise ValueError(f"need >= 1 witness, got {num_witnesses}")
@@ -61,7 +60,6 @@ class WitnessSet:
         self.capacity = capacity
         #: One fast round trip to the slowest witness (virtual seconds).
         self.rtt = rtt
-        self.obs = obs
         #: Unsynced entries: (client_id, op_id) -> (file_id, extents).
         self._entries: _t.Dict[
             _t.Tuple[int, int], _t.Tuple[int, _t.Tuple[_t.Any, ...]]

@@ -90,7 +90,6 @@ class LinkFaults:
         default_factory=list
     )
     stats: _t.Optional[FaultStats] = None
-    obs: _t.Optional[_t.Any] = None
     # Forward-scan cursors over the (sorted, per-scope non-overlapping)
     # window lists.  ``verdict`` is called in send order, so virtual time
     # only advances; skipping expired entries once keeps per-message cost
@@ -148,12 +147,13 @@ class LinkFaults:
         return False, 0.0
 
     def _record(self, link: "Link", what: str, **args: _t.Any) -> None:
-        if self.obs is None:
+        obs = link.env.obs
+        if obs is None:
             return
-        self.obs.tracer.instant(
+        obs.tracer.instant(
             what, "fault", node=link.name, actor="net", **args
         )
-        self.obs.registry.counter(f"faults.{what}").inc()
+        obs.registry.counter(f"faults.{what}").inc()
 
 
 class FaultInjector:
@@ -214,7 +214,6 @@ class FaultInjector:
                         for b in spec.delay_bursts
                     ],
                     stats=self.stats,
-                    obs=self._obs,
                 )
                 link.faults = model
                 self._links.append(link)

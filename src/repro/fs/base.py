@@ -67,7 +67,9 @@ class BaseCluster:
         self.env = env
         self.root_rng = StreamRNG(seed)
         #: Observability bundle (``repro.obs.Instrumentation``) or None.
-        #: Attaching binds the tracer clock and engine probe to ``env``.
+        #: Attaching binds the tracer clock and engine probe to ``env``
+        #: and sets ``env.obs``, where every component built on ``env``
+        #: afterwards finds the bundle.
         self.obs = obs
         if obs is not None:
             obs.attach(env)

@@ -387,7 +387,6 @@ class Nfs3Cluster(BaseCluster):
                         env, self.server_uplink, self.server_downlink,
                         self.port,
                     ),
-                    obs=obs,
                 ),
                 cache_capacity=config.client_cache_capacity,
             )

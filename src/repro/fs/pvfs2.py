@@ -377,14 +377,12 @@ class Pvfs2Cluster(BaseCluster):
                 RpcTransport(
                     env, self.meta.uplink, self.meta.downlink, self.meta.port
                 ),
-                obs=obs,
             )
             data_rpcs = [
                 RpcClient(
                     env,
                     cid,
                     RpcTransport(env, s.uplink, s.downlink, s.port),
-                    obs=obs,
                 )
                 for s in self.servers
             ]

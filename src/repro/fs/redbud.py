@@ -69,7 +69,6 @@ class RedbudCluster(BaseCluster):
             config.disk,
             self.root_rng.stream("disk"),
             trace=self.blktrace,
-            obs=obs,
         )
         self.router = ShardRouter(num_shards)
         if num_shards == 1:
@@ -116,7 +115,6 @@ class RedbudCluster(BaseCluster):
                 env,
                 arrangement_named(config.replication),
                 rng=self.root_rng.stream("group"),
-                obs=obs,
             )
             self.array.attach_group(self.group)
             if config.commit_mode in ("delayed", "unordered"):
@@ -130,7 +128,6 @@ class RedbudCluster(BaseCluster):
                     # propagation out and back plus a small record cost.
                     # Deterministic -- no RNG.
                     rtt=2 * config.link.propagation + 1e-4,
-                    obs=obs,
                 )
         self.ports = [RpcServerPort(env) for _ in range(num_shards)]
 
@@ -167,7 +164,6 @@ class RedbudCluster(BaseCluster):
                 env,
                 cid,
                 transport,
-                obs=obs,
                 retry=config.retry,
                 retry_rng=(
                     self.root_rng.stream("rpc-retry", cid)
@@ -187,7 +183,7 @@ class RedbudCluster(BaseCluster):
                 env,
                 cid,
                 rpc,
-                BlockDevice(env, cid, self.array, obs=obs),
+                BlockDevice(env, cid, self.array),
                 cache=PageCache(capacity=config.client_cache_capacity),
                 commit_mode=config.commit_mode,
                 delegation=(
@@ -198,7 +194,6 @@ class RedbudCluster(BaseCluster):
                 compound_policy=config.compound,
                 fixed_compound_degree=config.fixed_compound_degree,
                 dirty_limit=config.dirty_limit,
-                obs=obs,
                 degrade_after_timeouts=config.degrade_after_timeouts,
                 degrade_backlog=config.degrade_backlog,
                 delegation_pools=delegation_pools,
@@ -217,7 +212,6 @@ class RedbudCluster(BaseCluster):
                     spaces[k],
                     self.ports[k],
                     downlinks,
-                    obs=obs,
                 )
                 for k in range(num_shards)
             ],

@@ -77,7 +77,6 @@ class LeaseGarbageCollector:
         space: SpaceManager,
         lease_duration: float = 30.0,
         scan_interval: float = 5.0,
-        obs: _t.Optional[_t.Any] = None,
     ) -> None:
         if lease_duration <= 0 or scan_interval <= 0:
             raise ValueError("lease_duration and scan_interval must be > 0")
@@ -86,7 +85,7 @@ class LeaseGarbageCollector:
         self.lease_duration = lease_duration
         self.scan_interval = scan_interval
         #: Observability bundle (``repro.obs.Instrumentation``) or None.
-        self.obs = obs
+        self.obs = env.obs
         self.leases = LeaseTable()
         self.events: _t.List[GcEvent] = []
         self.bytes_reclaimed_total = 0

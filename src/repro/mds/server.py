@@ -104,7 +104,6 @@ class MetadataServer:
         space: SpaceManager,
         port: RpcServerPort,
         downlinks: _t.Dict[int, Link],
-        obs: _t.Optional[_t.Any] = None,
     ) -> None:
         self.env = env
         self.params = params
@@ -113,7 +112,7 @@ class MetadataServer:
         self.port = port
         self.downlinks = downlinks
         #: Observability bundle (``repro.obs.Instrumentation``) or None.
-        self.obs = obs
+        self.obs = env.obs
         # A service group holds at most as many requests as fill one
         # shortest wait of the substrate, counting one op each: 1 in
         # virtual time, 7 at the default costs on a live shard, no limit
@@ -177,7 +176,6 @@ class MetadataServer:
                 space,
                 lease_duration=params.lease_duration,
                 scan_interval=params.gc_scan_interval,
-                obs=obs,
             )
         self._daemons = self._spawn_daemons()
 

@@ -294,7 +294,6 @@ class RpcClient:
         env: "Effects",
         client_id: int,
         transport: RpcTransport,
-        obs: _t.Optional[_t.Any] = None,
         retry: _t.Optional[RetryPolicy] = None,
         retry_rng: _t.Optional[_t.Any] = None,
     ) -> None:
@@ -302,7 +301,7 @@ class RpcClient:
         self.client_id = client_id
         self.transport = transport
         #: Observability bundle (``repro.obs.Instrumentation``) or None.
-        self.obs = obs
+        self.obs = env.obs
         self.retry = retry
         self.retry_rng = retry_rng
         self.calls_sent = 0

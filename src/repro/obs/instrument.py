@@ -2,11 +2,12 @@
 
 An :class:`Instrumentation` instance is created by the caller (CLI, test)
 and handed to a cluster constructor; the cluster attaches it to its
-environment and passes it down to every component.  Components hold an
-``obs`` reference that is ``None`` when observability is off -- every
-hook site is guarded by ``if obs is not None``, so the untraced fast
-path costs one attribute load and the traced path only appends to lists
-(no events scheduled, no RNG consumed, no ordering perturbed).
+environment (``env.obs``) before it builds anything, and every component
+copies ``env.obs`` to its own ``obs`` at construction.  That reference is
+``None`` when observability is off -- every hook site is guarded by
+``if obs is not None``, so the untraced fast path costs one attribute
+load and the traced path only appends to lists (no events scheduled, no
+RNG consumed, no ordering perturbed).
 """
 
 from __future__ import annotations
@@ -60,8 +61,13 @@ class Instrumentation:
         self._env: _t.Optional["Environment"] = None
 
     def attach(self, env: "Environment") -> None:
-        """Bind to a cluster's environment (done by cluster ctors)."""
+        """Bind to a cluster's environment (done by cluster ctors).
+
+        Components built on ``env`` afterwards take the bundle from
+        ``env.obs``.
+        """
         self._env = env
+        env.obs = self
         self.tracer.attach(env)
         env.probe = self.probe
         reg = self.registry

@@ -106,7 +106,6 @@ class AsyncioEffects(Effects):
         #: are recorded here and re-raised by :meth:`check_failures` /
         #: the next :meth:`as_future` awaiter.
         self.failures: _t.List[BaseException] = []
-        self._disk: _t.Optional[_t.Any] = None
         #: The calendar: zero-delay events in schedule order, and
         #: ``(absolute loop deadline, seq, event)`` for the rest.
         self._ready: _t.Deque[Event] = deque()

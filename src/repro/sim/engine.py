@@ -330,6 +330,7 @@ class Environment(Effects):
         "_queue",
         "_seq",
         "_active_process",
+        "obs",
         "probe",
         "_push",
         "_pop",
@@ -346,6 +347,7 @@ class Environment(Effects):
         self._pop = self._queue.pop
         self._seq = 0
         self._active_process: _t.Optional[Process] = None
+        self.obs: _t.Optional[_t.Any] = None
         #: Recycled Timeout objects (see :meth:`timeout`): a popped
         #: Timeout nobody else references goes back here instead of to
         #: the allocator, so steady-state think/RPC-timer churn allocates

@@ -33,7 +33,6 @@ class BlockDevice:
         client_id: int,
         array: DiskArray,
         max_merge_bytes: int = 512 * 1024,
-        obs: _t.Optional[_t.Any] = None,
     ) -> None:
         self.env = env
         self.client_id = client_id
@@ -49,7 +48,7 @@ class BlockDevice:
         #: collapsed form of the NFSv4 state re-establishment handshake.
         self.write_generations: _t.Dict[int, int] = {}
         self.scheduler = ElevatorScheduler(
-            env, client_id, max_merge_bytes=max_merge_bytes, obs=obs
+            env, client_id, max_merge_bytes=max_merge_bytes
         )
         array.attach(self.scheduler)
 

@@ -150,7 +150,6 @@ class DiskArray:
         params: DiskParameters,
         rng: StreamRNG,
         trace: _t.Optional[BlkTrace] = None,
-        obs: _t.Optional[_t.Any] = None,
     ) -> None:
         if params.num_spindles <= 0:
             raise ValueError(f"need at least one spindle: {params}")
@@ -164,7 +163,7 @@ class DiskArray:
         self.rng = rng
         self.trace = trace
         #: Observability bundle (``repro.obs.Instrumentation``) or None.
-        self.obs = obs
+        self.obs = env.obs
         self._schedulers: _t.List[ElevatorScheduler] = []
         n = params.num_spindles
         self._heads = [0] * n  # logical, for C-LOOK ordering

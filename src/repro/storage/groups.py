@@ -116,7 +116,6 @@ class StorageGroup:
         env: "Effects",
         arrangement: Arrangement,
         rng,
-        obs=None,
     ) -> None:
         if arrangement.size < 2:
             raise ValueError(
@@ -126,7 +125,6 @@ class StorageGroup:
         self.env = env
         self.arrangement = arrangement
         self.rng = rng
-        self.obs = obs
         self.members = [
             ReplicaMember(member_id=i) for i in range(arrangement.size)
         ]

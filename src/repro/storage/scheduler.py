@@ -159,13 +159,12 @@ class ElevatorScheduler:
         max_merge_bytes: int = 512 * 1024,
         read_deadline: float = 0.05,
         write_deadline: float = 0.5,
-        obs: _t.Optional[_t.Any] = None,
     ) -> None:
         self.env = env
         self.client_id = client_id
         self.max_merge_bytes = max_merge_bytes
         #: Observability bundle (``repro.obs.Instrumentation``) or None.
-        self.obs = obs
+        self.obs = env.obs
         #: Anti-starvation deadlines (the Linux ``deadline`` scheduler's
         #: idea): a request older than its deadline is served before the
         #: C-LOOK sweep continues.  Without this, an ever-advancing write

@@ -43,7 +43,6 @@ class MiniCluster:
             disk_params or DiskParameters(volume_size=volume_size),
             rng.stream("disk"),
             trace=self.trace,
-            obs=obs,
         )
         self.port = RpcServerPort(env)
         self.namespace = Namespace()
@@ -54,9 +53,7 @@ class MiniCluster:
             up = Link(env, name=f"up-{cid}")
             down = Link(env, name=f"down-{cid}")
             downlinks[cid] = down
-            rpc = RpcClient(
-                env, cid, RpcTransport(env, up, down, self.port), obs=obs
-            )
+            rpc = RpcClient(env, cid, RpcTransport(env, up, down, self.port))
             delegation = (
                 DoubleSpacePool(chunk_size=delegation_chunk)
                 if delegation_chunk
@@ -66,10 +63,9 @@ class MiniCluster:
                 env,
                 cid,
                 rpc,
-                BlockDevice(env, cid, self.array, obs=obs),
+                BlockDevice(env, cid, self.array),
                 commit_mode=commit_mode,
                 delegation=delegation,
-                obs=obs,
                 **client_kw,
             )
             self.clients.append(client)
@@ -80,7 +76,6 @@ class MiniCluster:
             self.space,
             self.port,
             downlinks,
-            obs=obs,
         )
 
     @property

@@ -1,11 +1,12 @@
 """One contract, two substrates: the ``Effects`` conformance suite.
 
-Every test below builds its scenario from the ``Effects`` verbs only
-(``event``, ``timeout``, ``process``, ``any_of``, ``store`` ...) and runs
-it unchanged on :class:`repro.sim.SimEffects` and on
-:class:`repro.rt.AsyncioEffects`.  What must agree is dispatch *order*
-and kernel semantics; real delays are kept at or under 5 ms and are
-binary fractions, so the virtual clock's arithmetic is exact.
+Every test below builds its scenario from the ``Effects`` verbs and the
+kernel primitives bound to them (``event``, ``timeout``, ``process``,
+``any_of``, ``Store`` ...) and runs it unchanged on
+:class:`repro.sim.SimEffects` and on :class:`repro.rt.AsyncioEffects`.
+What must agree is dispatch *order* and kernel semantics; real delays
+are kept at or under 5 ms and are binary fractions, so the virtual
+clock's arithmetic is exact.
 
 Where the substrates legitimately differ, :data:`DIFFERENCES` is the one
 table that says so (quoted in DESIGN §16); the test named beside each
@@ -18,6 +19,10 @@ import operator
 import pytest
 
 from repro.core.kernel.process import Interrupt
+from repro.core.kernel.resources import Resource, Store
+from repro.net.link import Link
+from repro.net.rpc import RpcClient, RpcServerPort, RpcTransport
+from repro.obs import Instrumentation
 from repro.rt.effects import AsyncioEffects
 from repro.sim import SimEffects, SimulationError
 
@@ -176,6 +181,22 @@ def test_resolution_is_the_shortest_wait(substrate):
     assert env.resolution == DIFFERENCES["shortest wait, s"][substrate.name]
 
 
+def test_obs_travels_with_the_substrate(substrate):
+    """``Instrumentation.attach`` sets ``env.obs``; a protocol object
+    built on ``env`` afterwards takes the bundle from there."""
+    obs = Instrumentation()
+
+    def build(env):
+        assert env.obs is None
+        obs.attach(env)
+        transport = RpcTransport(env, Link(env), Link(env), RpcServerPort(env))
+        return env.timeout(0, value=RpcClient(env, 0, transport))
+
+    env, rpc = substrate.run(build)
+    assert env.obs is obs
+    assert rpc.obs is obs
+
+
 def test_cancelled_timeout_never_runs_its_callbacks(substrate):
     def build(env):
         fired = []
@@ -318,7 +339,7 @@ def test_interrupted_sleepers_uncancelled_timer_fires_into_nothing(substrate):
 @pytest.mark.parametrize("capacity", [float("inf"), 2])
 def test_store_is_fifo_under_eight_producer_fan_in(substrate, capacity):
     def build(env):
-        store = env.store(capacity)
+        store = Store(env, capacity)
         put_order, got = [], []
 
         def producer(k):
@@ -349,7 +370,7 @@ def test_store_is_fifo_under_eight_producer_fan_in(substrate, capacity):
 @pytest.mark.parametrize("capacity", [1, 2])
 def test_resource_grants_in_request_order(substrate, capacity):
     def build(env):
-        resource = env.resource(capacity)
+        resource = Resource(env, capacity)
         granted = []
 
         def user(k):

@@ -37,14 +37,15 @@ def _varmail():
 
 
 @pytest.mark.parametrize(
-    "system", ["redbud-delayed", "redbud-original"]
+    "system", ["redbud-delayed", "redbud-original", "nfs3", "pvfs2"]
 )
 def test_tracing_does_not_change_blktrace(system):
-    _, bare_result, bare_rows = _run(system, _xcdn, obs=None)
-    _, traced_result, traced_rows = _run(
+    bare_cluster, bare_result, bare_rows = _run(system, _xcdn, obs=None)
+    traced_cluster, traced_result, traced_rows = _run(
         system, _xcdn, obs=Instrumentation()
     )
     assert bare_rows == traced_rows
+    assert bare_cluster.env.now == traced_cluster.env.now
     assert bare_result.ops_completed == traced_result.ops_completed
     assert bare_result.metrics.total_bytes == (
         traced_result.metrics.total_bytes
@@ -70,6 +71,12 @@ def test_traced_run_actually_recorded_something():
     assert len(obs.tracer.spans) > 0
     assert len(obs.tracer.events) > 0
     assert obs.probe.steps > 0
+
+
+def test_traced_nfs3_run_records_its_storage_layer():
+    obs = Instrumentation()
+    _run("nfs3", _xcdn, obs=obs)
+    assert obs.tracer.spans_named("disk_dispatch")
 
 
 def test_two_traced_runs_identical_trace():

@@ -41,7 +41,7 @@ def test_process_timeout_and_now():
             t0 = env.now
             yield env.timeout(0.01)
             marks.append(env.now - t0)
-            yield env.sleep(0.01)
+            yield env.timeout(0.01)
             marks.append(env.now - t0)
             return "done"
 
@@ -114,7 +114,7 @@ def test_spawn_and_all_of():
             yield env.timeout(0.001 * k)
             return k * k
 
-        procs = [env.spawn(worker(k)) for k in range(1, 4)]
+        procs = [env.process(worker(k)) for k in range(1, 4)]
         await env.wait(env.all_of(procs))
         return [p.value for p in procs]
 
@@ -176,11 +176,10 @@ def test_unhandled_failure_is_recorded():
     _run(main())
 
 
-def test_rng_and_obs_default_to_none():
+def test_obs_defaults_to_none():
     async def main():
         env = AsyncioEffects()
         assert env.obs is None
-        assert env.rng is None
 
     _run(main())
 

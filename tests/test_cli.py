@@ -313,3 +313,57 @@ def test_processes_allows_faults_without_client_death(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "fault summary" in out
+
+
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("ran before the output path was checked")
+
+
+def test_check_rejects_a_missing_out_directory_before_exploring(
+    capsys, tmp_path, monkeypatch
+):
+    import repro.check
+
+    monkeypatch.setattr(repro.check, "explore", _refuse)
+    out = str(tmp_path / "missing" / "x.json")
+    assert main(["check", "--budget", "1", "--out", out]) == 2
+    assert "output directory does not exist" in capsys.readouterr().err
+
+
+def test_slo_rejects_a_missing_out_directory_before_running(
+    capsys, tmp_path, monkeypatch
+):
+    import repro.cli
+
+    monkeypatch.setattr(repro.cli, "build_cluster", _refuse)
+    out = str(tmp_path / "missing" / "x.json")
+    assert main(["slo", "--systems", "nfs3", "--out", out]) == 2
+    assert "output directory does not exist" in capsys.readouterr().err
+
+
+def test_smoke_rejects_a_missing_report_directory_before_connecting(
+    capsys, tmp_path, monkeypatch
+):
+    import socket
+
+    import repro.rt.smoke
+
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        closed_port = probe.getsockname()[1]
+    (tmp_path / "cluster.json").write_text(
+        json.dumps(
+            {
+                "addresses": [["127.0.0.1", closed_port]],
+                "shards": 1,
+                "volume_size": 1 << 26,
+            }
+        )
+    )
+    monkeypatch.setattr(repro.rt.smoke, "run_smoke", _refuse)
+    report = str(tmp_path / "missing" / "x.json")
+    code = main(
+        ["smoke", "--data-dir", str(tmp_path), "--report", report]
+    )
+    assert code == 2
+    assert "output directory does not exist" in capsys.readouterr().err
