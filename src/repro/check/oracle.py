@@ -1,120 +1,45 @@
 """The checker's oracle: every invariant the system promises, in one verdict.
 
-After a schedule runs (to a crash cut, or to a quiescent end), the
-oracle judges the surviving state against the full invariant suite:
-
-1. **Ordered writes + orphan GC** (crash path): recovery's pre/post
-   checks -- no dangling metadata, no extent overlap, space accounting
-   balances after orphan reclamation (:mod:`repro.consistency.recovery`).
-2. **fsck**: allocator books cross-checked against the committed
-   namespace (:mod:`repro.consistency.fsck`).
-3. **Exactly-once commits**: the MDS's audit of applied ``(client,
-   op)`` pairs never exceeds one -- a retransmitted commit that slips
-   past the dedup table is a double apply even when the namespace
-   happens to mask it.
-4. **History**: the durable oplog replayed into a shadow namespace must
-   reproduce the live namespace exactly
-   (:func:`repro.consistency.history.check_history`).
-5. **Trace ordering**: for every committed update, its writepages
-   finished before the commit RPC left the client
-   (:func:`repro.consistency.history.check_commit_ordering`).
-6. **Cross-shard disjointness** (sharded deployments): every shard's
-   volume slice, committed extents, and namespace partition stay inside
-   its own slice and no volume byte is claimed by two shards
-   (:func:`repro.mds.sharding.check_shard_disjointness`).
-
-Checks 1-5 run per metadata shard; with one shard the verdict is
-exactly the single-MDS oracle's.
+Both judges start from the oracle panel (:mod:`repro.consistency.panel`).
+:func:`judge_live` runs it on a settled cluster; :func:`judge_crash`
+swaps its ordered-writes and live fsck checks for recovery's pre/post
+checks and a strict fsck.  Both then add what durable state cannot
+show: replica divergence and trace-level commit ordering.
 """
 
 from __future__ import annotations
 
 import typing as _t
-from dataclasses import dataclass, field
 
 from repro.consistency.crash import CrashState
 from repro.consistency.fsck import fsck
-from repro.consistency.history import check_commit_ordering, check_history
-from repro.consistency.invariant import check_ordered_writes
+from repro.consistency.history import check_commit_ordering
+from repro.consistency.panel import (
+    PANEL_KINDS,
+    Verdict,
+    durable_checks,
+    judge_shards,
+    shard_tags,
+)
 from repro.consistency.recovery import recover
-from repro.mds.sharding import check_shard_disjointness
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.fs.redbud import RedbudCluster
 
-__all__ = ["Verdict", "judge_crash", "judge_live"]
-
-
-@dataclass
-class Verdict:
-    """One schedule's outcome across all invariant checks."""
-
-    #: ``(kind, detail)`` pairs; empty means the schedule passed.
-    violations: _t.List[_t.Tuple[str, str]] = field(default_factory=list)
-    summaries: _t.List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def add(self, kind: str, detail: str) -> None:
-        self.violations.append((kind, detail))
-
-    def kinds(self) -> _t.List[str]:
-        return sorted({kind for kind, _ in self.violations})
-
-    def as_dict(self) -> _t.Dict[str, _t.Any]:
-        return {
-            "ok": self.ok,
-            "violations": [
-                {"kind": kind, "detail": detail}
-                for kind, detail in self.violations
-            ],
-            "summaries": list(self.summaries),
-        }
-
-
-def _common_checks(cluster: "RedbudCluster", verdict: Verdict) -> None:
-    """Checks shared by the crash and live paths (run per shard)."""
-    sharded = cluster.metadata.num_shards > 1
-    worst = 0
-    for shard, mds in enumerate(cluster.metadata):
-        tag = f" [shard {shard}]" if sharded else ""
-        shard_worst = max(mds.commit_apply_counts.values(), default=0)
-        worst = max(worst, shard_worst)
-        if shard_worst > 1:
-            doubled = sorted(
-                key
-                for key, count in mds.commit_apply_counts.items()
-                if count > 1
-            )
-            for client_id, op_id in doubled:
-                verdict.add(
-                    "double-apply",
-                    f"commit (client={client_id}, op={op_id}) applied "
-                    f"{mds.commit_apply_counts[(client_id, op_id)]} "
-                    f"times{tag}",
-                )
-    verdict.summaries.append(
-        f"exactly-once: max applies per commit = {worst}"
-    )
-
-    for shard, mds in enumerate(cluster.metadata):
-        tag = f" [shard {shard}]" if sharded else ""
-        history = check_history(mds.oplog, mds.namespace)
-        for detail in history.violations:
-            verdict.add("history-divergence", detail + tag)
-        verdict.summaries.append(history.summary() + tag)
-
-    if cluster.obs is not None:
-        for detail in check_commit_ordering(cluster.obs.tracer):
-            verdict.add("commit-before-stable", detail)
+__all__ = [
+    "PANEL_KINDS",
+    "Verdict",
+    "judge_crash",
+    "judge_live",
+    "judge_shards",
+]
 
 
 def judge_crash(
     cluster: "RedbudCluster", state: CrashState
 ) -> Verdict:
-    """Judge a crashed cluster: recovery, fsck, then the common suite."""
+    """Judge a crashed cluster: recovery, strict fsck, then the panel's
+    disjointness, exactly-once and history checks."""
     verdict = Verdict()
     # CURP witness replay runs *before* recovery: a fast-path commit
     # acknowledged off the witnesses but not yet synced to the MDS is
@@ -150,55 +75,44 @@ def judge_crash(
         f"recovery reclaimed {report.orphan_bytes_reclaimed} orphan bytes"
     )
 
-    sharded = len(state.shards) > 1
-    for shard, (namespace, space) in enumerate(state.shards):
-        tag = f" [shard {shard}]" if sharded else ""
+    for tag, (namespace, space) in zip(
+        shard_tags(len(state.shards)), state.shards
+    ):
         fsck_report = fsck(namespace, space)
         if not fsck_report.clean:
             verdict.add("fsck", fsck_report.summary() + tag)
         verdict.summaries.append(fsck_report.summary() + tag)
 
-    _shard_disjointness(cluster, state.shards, verdict)
-    _replica_divergence(cluster, state.shards, verdict, repair=True)
-    _common_checks(cluster, verdict)
+    durable_checks(
+        list(cluster.metadata), cluster.config.disk.volume_size, verdict
+    )
+    _simulator_checks(cluster, verdict, repair=True)
     return verdict
 
 
 def judge_live(cluster: "RedbudCluster") -> Verdict:
     """Judge a quiescent (settled, un-crashed) cluster."""
-    verdict = Verdict()
-    shards = tuple(
-        (server.namespace, server.space) for server in cluster.metadata
+    verdict = judge_shards(
+        list(cluster.metadata),
+        cluster.array.stable,
+        cluster.config.disk.volume_size,
     )
-    sharded = len(shards) > 1
-    for shard, (namespace, space) in enumerate(shards):
-        tag = f" [shard {shard}]" if sharded else ""
-        report = check_ordered_writes(
-            namespace, cluster.array.stable, space
-        )
-        for violation in report.violations:
-            verdict.add(violation.kind, violation.detail + tag)
-        verdict.summaries.append("live " + report.summary() + tag)
-
-        fsck_report = fsck(namespace, space)
-        if fsck_report.lost_claimed:
-            # A live cluster legitimately has uncommitted (delegated)
-            # space, but free space overlapping committed extents is
-            # corruption in any state.
-            verdict.add("fsck", fsck_report.summary() + tag)
-        verdict.summaries.append(fsck_report.summary() + tag)
-
-    _shard_disjointness(cluster, shards, verdict)
-    _replica_divergence(cluster, shards, verdict, repair=False)
-    _common_checks(cluster, verdict)
+    _simulator_checks(cluster, verdict, repair=False)
     return verdict
 
 
+def _simulator_checks(
+    cluster: "RedbudCluster", verdict: Verdict, repair: bool
+) -> None:
+    """What only a simulated cluster can show: replicas and the trace."""
+    _replica_divergence(cluster, verdict, repair)
+    if cluster.obs is not None:
+        for detail in check_commit_ordering(cluster.obs.tracer):
+            verdict.add("commit-before-stable", detail)
+
+
 def _replica_divergence(
-    cluster: "RedbudCluster",
-    shards: _t.Sequence[_t.Any],
-    verdict: Verdict,
-    repair: bool,
+    cluster: "RedbudCluster", verdict: Verdict, repair: bool
 ) -> None:
     """Replica-divergence invariant for replicated storage groups.
 
@@ -219,10 +133,9 @@ def _replica_divergence(
             )
     recoverable = group.recoverable_set()
     missing = 0
-    sharded = len(shards) > 1
-    for shard, (namespace, _space) in enumerate(shards):
-        tag = f" [shard {shard}]" if sharded else ""
-        for offset, length in namespace.all_committed_ranges():
+    servers = list(cluster.metadata)
+    for tag, server in zip(shard_tags(len(servers)), servers):
+        for offset, length in server.namespace.all_committed_ranges():
             if not recoverable.contains(offset, offset + length):
                 missing += 1
                 verdict.add(
@@ -239,23 +152,4 @@ def _replica_divergence(
     verdict.summaries.append(
         f"replica-divergence: {group.alive_count}/{group.size} members "
         f"alive, {missing} unrecoverable committed extents"
-    )
-
-
-def _shard_disjointness(
-    cluster: "RedbudCluster",
-    shards: _t.Sequence[_t.Any],
-    verdict: Verdict,
-) -> None:
-    """Cross-shard invariant: shards never claim each other's bytes."""
-    if len(shards) <= 1:
-        return  # Vacuous for a single MDS; keep its verdict unchanged.
-    problems = check_shard_disjointness(
-        shards, cluster.config.disk.volume_size
-    )
-    for detail in problems:
-        verdict.add("shard-disjointness", detail)
-    verdict.summaries.append(
-        f"shard-disjointness: {len(shards)} shards, "
-        f"{len(problems)} violations"
     )

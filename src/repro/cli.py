@@ -36,8 +36,8 @@ Commands
     with counter tracks (``--trace``).  ``run``/``compare`` also accept
     ``--slo`` for verdicts inline.
 ``crash``
-    Crash a busy delayed-commit cluster at a chosen instant, verify the
-    ordered-writes invariant, and run recovery.
+    Crash a busy delayed-commit cluster at a chosen instant and judge
+    recovery with the checker's crash oracle (``judge_crash``).
 ``check``
     Systematic crash-schedule exploration (``repro.check``): enumerate
     crashes at protocol transition points, layer seeded nemesis fault
@@ -71,12 +71,7 @@ import sys
 import typing as _t
 
 from repro.analysis import Table
-from repro.consistency import (
-    check_ordered_writes,
-    crash_cluster,
-    fsck,
-    recover,
-)
+from repro.consistency import crash_cluster
 from repro.fs import build_cluster
 from repro.fs.factory import SYSTEMS
 from repro.util import fmt_rate, fmt_time
@@ -208,6 +203,13 @@ def _evaluate_slo(
     return spec.evaluate(result.metrics, excused), excused
 
 
+def _print_verdict(verdict: _t.Any) -> None:
+    for line in verdict.summaries:
+        print(f"check: {line}")
+    for kind, detail in verdict.violations:
+        print(f"check VIOLATION [{kind}]: {detail}")
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     if args.trace and (err := _check_writable(args.trace)):
         print(err, file=sys.stderr)
@@ -252,10 +254,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 f"clients={args.clients}, shards={args.shards}, "
                 f"replication={args.replication})"
             )
-            for line in outcome.verdict.summaries:
-                print(f"check: {line}")
-            for kind, detail in outcome.verdict.violations:
-                print(f"check VIOLATION [{kind}]: {detail}")
+            _print_verdict(outcome.verdict)
             print("PASS" if outcome.verdict.ok else "FAIL")
             return 0 if outcome.verdict.ok else 1
         if spec.empty:
@@ -273,21 +272,22 @@ def cmd_run(args: argparse.Namespace) -> int:
             from repro.net.rpc import RetryPolicy
 
             config_kw["retry"] = RetryPolicy()
-    if args.shards > 1:
-        if not args.system.startswith("redbud"):
+    # Refused before anything is built or run.
+    for flag, used in (
+        ("--shards", args.shards > 1),
+        ("--replication", args.replication != "none"),
+        ("--check", getattr(args, "check", False)),
+        ("--seed-bug", getattr(args, "seed_bug", "none") != "none"),
+    ):
+        if used and not args.system.startswith("redbud"):
             print(
-                "error: --shards supports the redbud systems only",
+                f"error: {flag} supports the redbud systems only",
                 file=sys.stderr,
             )
             return 2
+    if args.shards > 1:
         config_kw["shards"] = args.shards
     if args.replication != "none":
-        if not args.system.startswith("redbud"):
-            print(
-                "error: --replication supports the redbud systems only",
-                file=sys.stderr,
-            )
-            return 2
         config_kw["replication"] = args.replication
     if getattr(args, "processes", None) is not None:
         if spec is not None and spec.client_deaths:
@@ -315,12 +315,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         **config_kw,
     )
     if getattr(args, "seed_bug", "none") != "none":
-        if not args.system.startswith("redbud"):
-            print(
-                "error: --seed-bug supports the redbud systems only",
-                file=sys.stderr,
-            )
-            return 2
         from repro.check.soak import seed_bug_tweak
 
         bug_tweak = seed_bug_tweak(args.seed_bug)
@@ -339,12 +333,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         _settle(cluster)
     check_verdict = None
     if getattr(args, "check", False):
-        if not args.system.startswith("redbud"):
-            print(
-                "error: --check supports the redbud systems only",
-                file=sys.stderr,
-            )
-            return 2
         from repro.check import judge_converged, judge_live
 
         if injector is None:
@@ -458,10 +446,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             excused_windows=len(slo_excused),
         ).print()
     if check_verdict is not None:
-        for line in check_verdict.summaries:
-            print(f"check: {line}")
-        for kind, detail in check_verdict.violations:
-            print(f"check VIOLATION [{kind}]: {detail}")
+        _print_verdict(check_verdict)
         if not check_verdict.ok:
             return 1
     return 0 if slo_ok else 1
@@ -829,6 +814,7 @@ def cmd_figures(_args: argparse.Namespace) -> int:
 
 def cmd_crash(args: argparse.Namespace) -> int:
     from repro.analysis.metrics import OpMetrics
+    from repro.check import judge_crash
     from repro.fs import ClusterConfig, RedbudCluster
     from repro.workloads.spec import WorkloadContext
 
@@ -870,19 +856,9 @@ def cmd_crash(args: argparse.Namespace) -> int:
         f"{state.lost_commit_records} commit records, "
         f"{state.lost_block_requests} in-flight block writes"
     )
-    report = check_ordered_writes(
-        state.namespace, state.stable, state.space
-    )
-    print(report.summary())
-    for violation in report.violations[:5]:
-        print(f"  - {violation.detail}")
-    recovery = recover(state)
-    print(
-        f"recovery reclaimed {recovery.orphan_bytes_reclaimed} orphan "
-        f"bytes; post-GC: {recovery.post_check.summary()}"
-    )
-    print(fsck(state.namespace, state.space).summary())
-    return 0 if recovery.recovered_consistent else 1
+    verdict = judge_crash(cluster, state)
+    _print_verdict(verdict)
+    return 0 if verdict.ok else 1
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -1162,6 +1138,8 @@ def cmd_smoke(args: argparse.Namespace) -> int:
             f"{report['files_persisted']} files persisted, "
             f"{report['committed_bytes']} bytes committed"
         )
+        for line in report["summaries"]:
+            print(f"  {line}")
         for name, violations in sorted(report["oracles"].items()):
             state = "ok" if not violations else f"{len(violations)} violations"
             print(f"  oracle {name}: {state}")
@@ -1391,7 +1369,9 @@ def build_parser() -> argparse.ArgumentParser:
         harness.add_bench_arguments(p_bench)
         p_bench.set_defaults(func=cmd_bench)
 
-    p_crash = sub.add_parser("crash", help="crash + verify + recover")
+    p_crash = sub.add_parser(
+        "crash", help="crash + recover + judge with the crash oracle"
+    )
     common(p_crash)
     p_crash.add_argument(
         "--mode",
@@ -1559,8 +1539,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_smoke = sub.add_parser(
         "smoke",
         help="drive the delayed-commit client stack against a live "
-        "`serve` cluster, shut it down, and run the fsck/exactly-once/"
-        "data-pattern oracle subset on its on-disk state",
+        "`serve` cluster, shut it down, and judge its on-disk state with "
+        "the checker's oracle panel (ordered writes, fsck, shard "
+        "disjointness, exactly-once, history) plus client expectations",
     )
     p_smoke.add_argument("--data-dir", default="./repro-data")
     p_smoke.add_argument("--clients", type=int, default=4)

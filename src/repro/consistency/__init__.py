@@ -11,6 +11,8 @@ is acceptable and reclaimed by garbage collection.
 - :mod:`repro.consistency.recovery` -- post-crash scan + orphan GC.
 - :mod:`repro.consistency.history` -- oplog replay + trace-level
   ordering checks (the full-history oracle ``repro.check`` judges with).
+- :mod:`repro.consistency.panel` -- the oracle panel over per-shard
+  durable state, shared by ``repro.check`` and ``repro smoke``.
 """
 
 from repro.consistency.crash import CrashState, crash_cluster

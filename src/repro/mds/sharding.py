@@ -323,9 +323,10 @@ def check_shard_disjointness(
     """The cross-shard invariant: shard state never overlaps.
 
     Verifies (1) the volume slices themselves are disjoint and
-    in-bounds, (2) every committed extent and every tracked
+    in-bounds, (2) every file lives on its owner shard
+    ``(file_id - 1) % N``, (3) every committed extent and every tracked
     uncommitted range of a shard lies inside that shard's slice, and
-    (3) no volume byte is claimed committed by two shards.  Returns
+    (4) no volume byte is claimed committed by two shards.  Returns
     human-readable violation details; empty means disjoint.
     """
     violations: _t.List[str] = []
@@ -347,6 +348,13 @@ def check_shard_disjointness(
     committed = IntervalSet()
     for index, (namespace, space) in enumerate(shards):
         lo, hi = space.base_offset, space.base_offset + space.volume_size
+        for meta in namespace.all_files():
+            owner = (meta.file_id - 1) % len(shards)
+            if owner != index:
+                violations.append(
+                    f"file {meta.file_id} ({meta.name!r}) lives on "
+                    f"shard {index}, its owner is shard {owner}"
+                )
         for offset, length in namespace.all_committed_ranges():
             if offset < lo or offset + length > hi:
                 violations.append(

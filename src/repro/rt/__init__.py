@@ -12,10 +12,10 @@
 - :mod:`repro.rt.server` hosts one metadata shard per process
   (``repro serve``);
 - :mod:`repro.rt.disk` backs client writes with a real sparse volume
-  file so the smoke oracles can verify on-disk bytes;
+  file so the oracles can verify on-disk bytes;
 - :mod:`repro.rt.smoke` drives a workload against a live cluster and
-  runs the fsck / exactly-once / recovery oracle subset on what the
-  shards persisted (``repro smoke``).
+  judges what the shards persisted with the simulator's oracle panel
+  (``repro smoke``).
 
 See DESIGN.md §16 for the substrate contract and exactly which
 guarantees (ordering, determinism) hold on which substrate.

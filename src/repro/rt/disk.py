@@ -4,7 +4,7 @@ The simulator's :class:`repro.storage.blockdev.BlockDevice` models seek
 and transfer *times* but moves no bytes.  The rt substrate inverts that:
 :class:`RtBlockDevice` spends no modelled time but performs real
 ``pwrite``/``pread`` against a shared sparse volume file -- which is what
-lets the smoke oracles verify, byte for byte, that every committed
+lets the oracle panel verify, byte for byte, that every committed
 extent's data actually reached the right volume offsets before its
 commit was sent (the ordered-write property on real hardware).
 

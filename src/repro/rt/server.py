@@ -18,9 +18,9 @@ of the virtual calendar.  Only the edges are substrate-specific:
 
 On shutdown the shard persists its durable state -- namespace, commit
 apply counts, oplog, orphan books -- to ``shard-<k>.json`` in the data
-directory.  That file is the ground truth ``repro smoke``'s oracles
-audit: exactly-once, shard disjointness, fsck, and on-disk data
-patterns all run against it.
+directory.  That file is the ground truth ``repro smoke`` reloads and
+judges with the simulator's oracle panel
+(:func:`repro.consistency.panel.judge_shards`).
 
 ``--drop-every N`` makes the shard deliberately drop every Nth request
 frame *before* delivery, forcing real retransmissions through the
@@ -123,7 +123,7 @@ def build_shard_server(
 def dump_shard_state(
     server: MetadataServer, config: ShardConfig
 ) -> _t.Dict[str, _t.Any]:
-    """The shard's durable state, JSON-shaped (the smoke oracles' input)."""
+    """The shard's durable state, JSON-shaped (the oracle panel's input)."""
     namespace = server.namespace
     files = [
         {
@@ -154,7 +154,7 @@ def dump_shard_state(
                 server.commit_apply_counts.items()
             )
         ],
-        "oplog_len": len(server.oplog),
+        "oplog": server.oplog,
         "uncommitted": {
             str(client_id): [[start, end] for start, end in ranges]
             for client_id, ranges in server.space._uncommitted.items()

@@ -1,4 +1,4 @@
-"""``repro smoke``: drive a live cluster, then audit its on-disk state.
+"""``repro smoke``: drive a live cluster, then judge its on-disk state.
 
 The smoke run is the end-to-end proof that the effects refactor produced
 *one* protocol stack: the exact client assembly the simulator builds --
@@ -8,28 +8,11 @@ RPC stub -- runs here against real ``repro serve`` shard processes over
 real TCP, writing real bytes into a shared volume file.
 
 After the workload drains, the shards are shut down (each persists its
-durable state to ``shard-<k>.json``) and the oracle subset runs on what
-hit disk:
-
-``exactly_once``
-    Every ``(client, op_id)`` commit applied exactly once -- the §III
-    duplicate-suppression guarantee, exercised for real when the server
-    runs with ``--drop-every`` (forced retransmissions).
-``shard_ownership``
-    Every file id lives in its arithmetic residue class; every extent
-    inside its shard's volume slice.
-``disjointness``
-    No volume byte claimed committed by two extents anywhere.
-``fsck``
-    The committed namespace rebuilds into a clean allocator
-    (:func:`repro.consistency.fsck.fsck` on reconstructed state).
-``data_pattern``
-    The volume file holds each file's deterministic pattern across every
-    committed extent: data was durable before its commit -- the paper's
-    ordered-write invariant verified on real sockets and a real file.
-``expectations``
-    Client-side bookkeeping (files created, sizes written, unlinks)
-    matches the server's durable namespace.
+durable state to ``shard-<k>.json``) and :func:`run_oracles` judges the
+reloaded dumps (:func:`load_shard`) with the simulator's oracle panel
+(:mod:`repro.consistency.panel`), plus the one rt-only check,
+``expectations``: client-side bookkeeping (files created, sizes
+written, unlinks) matches the shards' durable namespaces.
 """
 
 from __future__ import annotations
@@ -40,7 +23,8 @@ import os
 import typing as _t
 
 from repro.client.client import RedbudClient
-from repro.consistency.fsck import fsck, rebuild_free_space
+from repro.consistency.fsck import rebuild_free_space
+from repro.consistency.panel import PANEL_KINDS, judge_shards
 from repro.mds.allocation import SpaceManager
 from repro.mds.extent import Extent
 from repro.mds.namespace import FileMeta, Namespace
@@ -52,7 +36,13 @@ from repro.rt.transport import RtClusterTransport, ctl_request
 from repro.util.intervals import IntervalSet
 from repro.util.rng import StreamRNG
 
-__all__ = ["SmokeConfig", "run_smoke", "run_oracles"]
+__all__ = [
+    "LoadedShard",
+    "SmokeConfig",
+    "load_shard",
+    "run_oracles",
+    "run_smoke",
+]
 
 
 class SmokeConfig:
@@ -114,7 +104,7 @@ def _workload(
 
 
 async def run_smoke(config: SmokeConfig) -> _t.Dict[str, _t.Any]:
-    """Drive the workload, shut the shards down, audit the dumps."""
+    """Drive the workload, shut the shards down, judge the dumps."""
     env = AsyncioEffects(asyncio.get_running_loop())
     router = ShardRouter(num_shards=config.shards)
     blockdev = RtBlockDevice(
@@ -209,148 +199,115 @@ async def run_smoke(config: SmokeConfig) -> _t.Dict[str, _t.Any]:
     return report
 
 
+class _ApplyCounts(_t.NamedTuple):
+    """The dump's ``[client, op, count]`` rows, read like the MDS's dict
+    (a dict of tuple keys adds ~1 MiB to ``rt-commit``'s peak RSS)."""
+
+    rows: _t.List[_t.List[int]]
+
+    def items(self) -> _t.Iterator[_t.Tuple[_t.Tuple[int, int], int]]:
+        return (((client, op), count) for client, op, count in self.rows)
+
+
+class LoadedShard(_t.NamedTuple):
+    """A shard dump as a shard state of the oracle panel."""
+
+    namespace: Namespace
+    space: SpaceManager
+    commit_apply_counts: _ApplyCounts
+    oplog: _t.List[_t.Any]
+
+
+def load_shard(
+    dump: _t.Dict[str, _t.Any],
+) -> _t.Tuple[LoadedShard, _t.Optional[str]]:
+    """One shard's dump back as durable state, plus any fsck problem.
+
+    The space is the allocator :func:`rebuild_free_space` derives from
+    the committed namespace; a namespace that does not rebuild keeps the
+    slice's empty allocator and reports why.
+    """
+    shard = dump["shard"]
+    namespace = Namespace(first_id=shard + 1, id_step=dump["shards"])
+    for entry in dump["files"]:
+        # A dumped file carries exactly FileMeta's fields.
+        extents = [Extent(*extent) for extent in entry["extents"]]
+        meta = FileMeta(**dict(entry, extents=extents))
+        namespace._files[meta.file_id] = meta
+        namespace._by_name[meta.name] = meta.file_id
+    space = SpaceManager(
+        volume_size=dump["slice_size"],
+        base_offset=dump["base_offset"],
+        num_groups=4,
+    )
+    problem = None
+    try:
+        space = rebuild_free_space(namespace, space)
+    except ValueError as exc:
+        problem = f"shard {shard}: rebuild failed: {exc}"
+    counts = _ApplyCounts(dump["commit_apply_counts"])
+    return LoadedShard(namespace, space, counts, dump["oplog"]), problem
+
+
 def run_oracles(
     dumps: _t.Sequence[_t.Dict[str, _t.Any]],
     volume_path: str,
     expectations: _t.Dict[int, int],
     config: SmokeConfig,
 ) -> _t.Dict[str, _t.Any]:
-    """The oracle subset over persisted shard state; pure, testable."""
+    """The oracle panel plus ``expectations`` over persisted shard state."""
+    loaded = [load_shard(dump) for dump in dumps]
+    shards = [shard for shard, _ in loaded]
+    sizes: _t.Dict[int, int] = {}
+    committed, stable = IntervalSet(), IntervalSet()
+    # A committed extent is stable iff every byte of it holds its file's
+    # pattern: its data was durable before its commit.  A missing volume
+    # reads as empty, so every extent dangles.
+    if not os.path.exists(volume_path):
+        volume_path = os.devnull
+    with open(volume_path, "rb") as volume:
+        for shard in shards:
+            for meta in shard.namespace.all_files():
+                sizes[meta.file_id] = meta.size
+                want = pattern_byte(meta.file_id)
+                for extent in meta.extents:
+                    lo, hi = extent.volume_offset, extent.volume_end
+                    committed.add(lo, hi)
+                    volume.seek(lo)
+                    if volume.read(hi - lo).count(want) == hi - lo:
+                        stable.add(lo, hi)
+
+    verdict = judge_shards(shards, stable, config.volume_size)
     oracles: _t.Dict[str, _t.List[str]] = {
-        "exactly_once": [],
-        "shard_ownership": [],
-        "disjointness": [],
-        "fsck": [],
-        "data_pattern": [],
-        "expectations": [],
+        kind: [] for kind in PANEL_KINDS + ("expectations",)
     }
-
-    committed = IntervalSet()
-    seen_files: _t.Dict[int, _t.Dict[str, _t.Any]] = {}
-    for dump in dumps:
-        shard = dump["shard"]
-        shards = dump["shards"]
-        base = dump["base_offset"]
-        top = base + dump["slice_size"]
-
-        for client_id, op_id, count in dump["commit_apply_counts"]:
-            if count != 1:
-                oracles["exactly_once"].append(
-                    f"shard {shard}: commit (client={client_id}, "
-                    f"op={op_id}) applied {count} times"
-                )
-
-        for entry in dump["files"]:
-            file_id = entry["file_id"]
-            seen_files[file_id] = entry
-            if (file_id - 1) % shards != shard:
-                oracles["shard_ownership"].append(
-                    f"file {file_id} persisted by shard {shard}, owner "
-                    f"is {(file_id - 1) % shards}"
-                )
-            for fo, length, _dev, vo, state in entry["extents"]:
-                if state != "committed":
-                    oracles["fsck"].append(
-                        f"file {file_id} extent at {fo} persisted in "
-                        f"state {state!r}"
-                    )
-                if vo < base or vo + length > top:
-                    oracles["shard_ownership"].append(
-                        f"file {file_id} extent [{vo}, {vo + length}) "
-                        f"escapes shard {shard}'s slice [{base}, {top})"
-                    )
-                if committed.overlaps(vo, vo + length):
-                    oracles["disjointness"].append(
-                        f"volume range [{vo}, {vo + length}) of file "
-                        f"{file_id} overlaps another committed extent"
-                    )
-                committed.add(vo, vo + length)
-
-        # fsck on reconstructed durable state: the committed namespace
-        # must rebuild into a clean allocator (no overlap, no escape).
-        namespace = Namespace(first_id=shard + 1, id_step=shards)
-        for entry in dump["files"]:
-            meta = FileMeta(
-                file_id=entry["file_id"],
-                name=entry["name"],
-                ctime=entry["ctime"],
-                mtime=entry["mtime"],
-                size=entry["size"],
-                extents=[
-                    Extent(
-                        file_offset=fo,
-                        length=length,
-                        device_id=dev,
-                        volume_offset=vo,
-                        state=state,
-                    )
-                    for fo, length, dev, vo, state in entry["extents"]
-                ],
-            )
-            namespace._files[meta.file_id] = meta
-            namespace._by_name[meta.name] = meta.file_id
-        space = SpaceManager(
-            volume_size=dump["slice_size"],
-            base_offset=base,
-            num_groups=4,
-        )
-        try:
-            rebuilt = rebuild_free_space(namespace, space)
-        except ValueError as exc:
-            oracles["fsck"].append(f"shard {shard}: rebuild failed: {exc}")
-        else:
-            report = fsck(namespace, rebuilt)
-            if not report.clean:
-                oracles["fsck"].append(
-                    f"shard {shard}: {report.summary()}"
-                )
-
-    # Ordered writes made real: every committed extent's bytes must
-    # already be the owning file's pattern in the volume file.
-    if os.path.exists(volume_path):
-        with open(volume_path, "rb") as handle:
-            for file_id, entry in sorted(seen_files.items()):
-                want = pattern_byte(file_id)
-                for fo, length, _dev, vo, _state in entry["extents"]:
-                    handle.seek(vo)
-                    data = handle.read(length)
-                    if len(data) < length or data.count(want) != length:
-                        oracles["data_pattern"].append(
-                            f"file {file_id} extent [{vo}, "
-                            f"{vo + length}) does not hold pattern "
-                            f"byte {want}"
-                        )
-                        break
-    else:
-        oracles["data_pattern"].append(
-            f"volume file {volume_path} missing"
-        )
-
+    oracles["fsck"].extend(problem for _, problem in loaded if problem)
+    for kind, detail in verdict.violations:
+        oracles[kind].append(detail)
     for file_id, size in sorted(expectations.items()):
-        entry = seen_files.get(file_id)
-        if entry is None:
+        if file_id not in sizes:
             oracles["expectations"].append(
                 f"file {file_id} committed by a client but absent "
                 "from every shard dump"
             )
-        elif entry["size"] != size:
+        elif sizes[file_id] != size:
             oracles["expectations"].append(
-                f"file {file_id} persisted size {entry['size']}, "
+                f"file {file_id} persisted size {sizes[file_id]}, "
                 f"client expected {size}"
             )
-    for file_id in sorted(seen_files):
-        if file_id not in expectations:
-            oracles["expectations"].append(
-                f"file {file_id} persisted but never expected "
-                "(unlinked or foreign)"
-            )
+    for file_id in sorted(sizes.keys() - expectations.keys()):
+        oracles["expectations"].append(
+            f"file {file_id} persisted but never expected "
+            "(unlinked or foreign)"
+        )
 
     violations = sum(len(v) for v in oracles.values())
     return {
         "ok": violations == 0,
         "violations": violations,
         "oracles": oracles,
-        "files_persisted": len(seen_files),
+        "summaries": verdict.summaries,
+        "files_persisted": len(sizes),
         "files_expected": len(expectations),
         "committed_bytes": committed.total(),
         "config": {

@@ -73,6 +73,21 @@ def test_run_check_flag_rejects_non_redbud(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", [["--check"], ["--seed-bug", "dedup"]])
+def test_run_refuses_redbud_only_flags_before_building(
+    flag, capsys, monkeypatch
+):
+    import repro.cli
+
+    def never(*_args, **_kwargs):
+        raise AssertionError("build_cluster ran before the flag check")
+
+    monkeypatch.setattr(repro.cli, "build_cluster", never)
+    code = main(["run", "--system", "nfs3", "--duration", "4"] + flag)
+    assert code == 2
+    assert "redbud systems only" in capsys.readouterr().err
+
+
 def test_run_replays_crash_schedule(capsys):
     code = main(
         [

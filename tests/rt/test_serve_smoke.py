@@ -2,10 +2,10 @@
 
 Boots ``repro serve`` as a subprocess (one child process per shard),
 drives the unmodified delayed-commit client stack against it with
-:func:`repro.rt.smoke.run_smoke`, and asserts the full oracle subset
-passes on the shards' persisted state.  Also unit-tests the oracles
-against fabricated bad dumps so a green smoke run means the checks can
-actually fail.
+:func:`repro.rt.smoke.run_smoke`, and asserts the simulator's oracle
+panel passes on the shards' persisted state.  Also unit-tests
+:func:`repro.rt.smoke.run_oracles` against fabricated bad dumps so a
+green smoke run means the checks can actually fail.
 """
 
 import asyncio
@@ -16,6 +16,7 @@ import subprocess
 import sys
 import time
 
+from repro.consistency.panel import PANEL_KINDS
 from repro.rt.smoke import SmokeConfig, run_oracles, run_smoke
 
 VOLUME_SIZE = 8 * 1024 * 1024
@@ -95,6 +96,11 @@ def test_live_two_shard_cluster_passes_oracles(tmp_path):
     # lands in this pipe.
     assert "Traceback" not in serve_log, serve_log
     assert report["ok"], json.dumps(report["oracles"], indent=2)
+    # The whole panel ran, history included, on every shard.
+    assert set(report["oracles"]) == set(PANEL_KINDS) | {"expectations"}
+    replayed = [s for s in report["summaries"] if s.startswith("history:")]
+    assert len(replayed) == 2
+    assert all(" 0 ops replayed" not in s for s in replayed), replayed
     # 2 clients x 3 files, every 4th unlinked (index 3) -- none here.
     assert report["files_persisted"] == 6
     assert report["files_expected"] == 6
@@ -149,6 +155,17 @@ def _config(tmp_path):
     )
 
 
+def _oplog(files):
+    """The journal that creates ``files`` in order and commits them."""
+    oplog = []
+    for entry in files:
+        oplog.append(["create", entry["file_id"], entry["name"], 0.0])
+        triples = [[fo, ln, vo] for fo, ln, _dev, vo, _st in entry["extents"]]
+        if triples:
+            oplog.append(["commit", entry["file_id"], triples, 0.0])
+    return oplog
+
+
 def _dump(shard, shards=2, files=(), counts=()):
     slice_size = VOLUME_SIZE // shards
     return {
@@ -159,7 +176,7 @@ def _dump(shard, shards=2, files=(), counts=()):
         "base_offset": shard * slice_size,
         "files": list(files),
         "commit_apply_counts": list(counts),
-        "oplog_len": 0,
+        "oplog": _oplog(files),
         "uncommitted": {},
         "stats": {},
     }
@@ -195,7 +212,7 @@ def test_oracles_flag_double_applied_commit(tmp_path):
         _config(tmp_path),
     )
     assert not report["ok"]
-    assert "applied 2 times" in report["oracles"]["exactly_once"][0]
+    assert "applied 2 times" in report["oracles"]["double-apply"][0]
 
 
 def test_oracles_flag_overlapping_extents(tmp_path):
@@ -217,9 +234,9 @@ def test_oracles_flag_overlapping_extents(tmp_path):
         _config(tmp_path),
     )
     assert not report["ok"]
-    assert report["oracles"]["disjointness"]
+    assert report["oracles"]["extent-overlap"]
     # The overlap also breaks the allocator rebuild.
-    assert report["oracles"]["fsck"]
+    assert any("rebuild failed" in v for v in report["oracles"]["fsck"])
 
 
 def test_oracles_flag_foreign_shard_file(tmp_path):
@@ -232,7 +249,10 @@ def test_oracles_flag_foreign_shard_file(tmp_path):
         _config(tmp_path),
     )
     assert not report["ok"]
-    assert report["oracles"]["shard_ownership"]
+    assert any(
+        "file 2 " in v and "owner is shard 1" in v
+        for v in report["oracles"]["shard-disjointness"]
+    )
 
 
 def test_oracles_flag_extent_escaping_slice(tmp_path):
@@ -250,7 +270,7 @@ def test_oracles_flag_extent_escaping_slice(tmp_path):
     )
     assert not report["ok"]
     assert any(
-        "escapes" in v for v in report["oracles"]["shard_ownership"]
+        "escapes" in v for v in report["oracles"]["shard-disjointness"]
     )
 
 
@@ -267,15 +287,17 @@ def test_oracles_flag_wrong_bytes_on_disk(tmp_path):
         _config(tmp_path),
     )
     assert not report["ok"]
-    assert report["oracles"]["data_pattern"]
+    assert report["oracles"]["dangling-metadata"]
 
-    # One wrong byte anywhere in an extent, or a read that comes up
-    # short, is enough -- and nothing else is flagged for it.
+    # One wrong byte anywhere in an extent, a read that comes up short,
+    # or no volume file at all is enough -- and nothing else is flagged.
     good = pattern_byte(1)
-    for wrong_at in (0, 2048, 4095, "short read"):
+    for wrong_at in (0, 2048, 4095, "short read", "no volume"):
         path = _write_volume(tmp_path, [(0, 4096, good)])
         if wrong_at == "short read":
             os.truncate(path, 4095)
+        elif wrong_at == "no volume":
+            os.remove(path)
         else:
             _write_volume(
                 tmp_path, [(0, 4096, good), (wrong_at, 1, good ^ 1)]
@@ -287,7 +309,7 @@ def test_oracles_flag_wrong_bytes_on_disk(tmp_path):
             _config(tmp_path),
         )
         flagged = {k: len(v) for k, v in report["oracles"].items() if v}
-        assert flagged == {"data_pattern": 1}, (wrong_at, flagged)
+        assert flagged == {"dangling-metadata": 1}, (wrong_at, flagged)
 
 
 def test_oracles_flag_missing_and_size_mismatched_files(tmp_path):
@@ -329,3 +351,27 @@ def test_oracles_pass_on_consistent_state(tmp_path):
     assert report["ok"], json.dumps(report["oracles"], indent=2)
     assert report["violations"] == 0
     assert report["committed_bytes"] == 8192
+    # Every kind is listed, flagged or not.
+    assert list(report["oracles"]) == list(PANEL_KINDS) + ["expectations"]
+
+
+def test_oracles_flag_create_missing_from_history(tmp_path):
+    from repro.rt.disk import pattern_byte
+
+    a = [0, 4096, 0, 0, "committed"]
+    _write_volume(tmp_path, [(0, 4096, pattern_byte(1))])
+    dump = _dump(0, files=[_file(1, [a])], counts=[[1, 1, 1]])
+    # The journal lost file 1's create but kept its commit.
+    dump["oplog"] = [e for e in dump["oplog"] if e[0] != "create"]
+    report = run_oracles(
+        [dump, _dump(1)],
+        os.path.join(str(tmp_path), "volume.img"),
+        {1: 4096},
+        _config(tmp_path),
+    )
+    flagged = {k: len(v) for k, v in report["oracles"].items() if v}
+    assert set(flagged) == {"history-divergence"}, flagged
+    assert any(
+        "file 1" in v and "[shard 0]" in v
+        for v in report["oracles"]["history-divergence"]
+    )
