@@ -14,6 +14,13 @@ shows none and delayed commit (many outstanding writes) shows many.
 the lowest start address at-or-after the head position goes first, wrapping
 to the lowest address when the sweep passes the end.  This shapes the seek
 traces of Fig. 5.
+
+Like the Linux ``deadline`` scheduler whose policy it copies, the queue
+pairs the policy with the structures that make it cheap on a deep queue:
+a per-file index of queued writes (``fsync`` kicks), the set of plugged
+async writes (memory-pressure kicks) and a per-spindle, per-class order
+by submit time (deadline picks).  Every entry point then costs what it
+touches plus a bisect, never a walk of the whole queue.
 """
 
 from __future__ import annotations
@@ -68,6 +75,11 @@ class BlockRequest:
     #: striping function is evaluated at most once per request instead of
     #: on every elevator scan.
     spindle: _t.Optional[int] = None
+    #: Set by the owning queue at insertion and lower for every later
+    #: insertion: the newest of several requests with one start sorts
+    #: first, as in the start-sorted views (``bisect_left`` inserts
+    #: before equal starts).  Breaks deadline-order ties in view order.
+    queue_rank: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.op not in (READ, WRITE):
@@ -174,6 +186,20 @@ class ElevatorScheduler:
         #: Requests waiting for dispatch, kept sorted by start address.
         self._queue: _t.List[BlockRequest] = []
         self._starts: _t.List[int] = []
+        #: Last ``queue_rank`` handed out.
+        self._rank = 0
+        #: Queued WRITEs by file (``expedite_file``): the file's one
+        #: request, or a dict of them keyed by ``id`` when it has several
+        #: (most files have one, and a dict each would outweigh the
+        #: queue).  Merged-in requests are never listed: like the scans
+        #: these replace, a kick matches the queued request, not what was
+        #: merged into it.
+        self._writes_by_file: _t.Dict[
+            int, _t.Union[BlockRequest, _t.Dict[int, BlockRequest]]
+        ] = {}
+        #: The queued async WRITEs, i.e. the plugged ones
+        #: (``expedite_all_writes``), keyed by ``id``.
+        self._plugged: _t.Dict[int, BlockRequest] = {}
         self.stats = SchedulerStats()
         #: Called with the spindles whose queued requests just changed
         #: (a submission, a merge, an expedite) whenever a request may
@@ -191,18 +217,21 @@ class ElevatorScheduler:
         #: which only support :meth:`pop_next`.
         self.spindle_map: _t.Optional[_t.Callable[[int], int]] = None
         #: Per-spindle views of the queue (parallel start/request lists,
-        #: each sorted by start) and the number of reads in each,
-        #: maintained once a spindle map is installed.  The per-spindle
-        #: service loops scan just their own spindle's requests, and
-        #: skip a queue with no request of the class they want.  Within
-        #: one spindle the view preserves the main queue's order (same
-        #: bisect policy), so every pick is identical to a filtered scan
-        #: of the whole queue.
+        #: each sorted by start), maintained once a spindle map is
+        #: installed.  Within one spindle the view preserves the main
+        #: queue's order (same bisect policy), so every pick is identical
+        #: to a filtered scan of the whole queue.
         self._sp_queue: _t.Optional[_t.Dict[int, _t.List[BlockRequest]]] = (
             None
         )
         self._sp_starts: _t.Dict[int, _t.List[int]] = {}
-        self._sp_reads: _t.Dict[int, int] = {}
+        #: The same requests per class and spindle in deadline order:
+        #: sorted ``(submit_time, start, queue_rank, request)`` entries,
+        #: i.e. oldest first, ties in view order.
+        self._due: _t.Dict[str, _t.Dict[int, _t.List[_t.Tuple]]] = {
+            READ: {},
+            WRITE: {},
+        }
 
     def set_spindle_map(
         self, spindle_of: _t.Callable[[int], int]
@@ -210,12 +239,16 @@ class ElevatorScheduler:
         """Install the array's address->spindle function.
 
         Caches each queued request's spindle and starts maintaining the
-        per-spindle queue views the ``*_for_spindle`` methods need.
+        per-spindle views and deadline orders the ``*_for_spindle``
+        methods need.
         """
         self.spindle_map = spindle_of
         sp_queue: _t.Dict[int, _t.List[BlockRequest]] = {}
         sp_starts: _t.Dict[int, _t.List[int]] = {}
-        sp_reads: _t.Dict[int, int] = {}
+        due: _t.Dict[str, _t.Dict[int, _t.List[_t.Tuple]]] = {
+            READ: {},
+            WRITE: {},
+        }
         # The main queue is sorted by start, so appending in order
         # leaves every per-spindle view sorted with the same relative
         # order among equal starts.
@@ -224,51 +257,15 @@ class ElevatorScheduler:
             request.spindle = sp
             sp_queue.setdefault(sp, []).append(request)
             sp_starts.setdefault(sp, []).append(request.start)
-            if request.op == READ:
-                sp_reads[sp] = sp_reads.get(sp, 0) + 1
+            due[request.op].setdefault(sp, []).append(
+                (request.submit_time, request.start, request.queue_rank, request)
+            )
+        for orders in due.values():
+            for order in orders.values():
+                order.sort()
         self._sp_queue = sp_queue
         self._sp_starts = sp_starts
-        self._sp_reads = sp_reads
-
-    def _spindle_of(self, request: BlockRequest) -> int:
-        sp = request.spindle
-        if sp is None:
-            sp = request.spindle = self.spindle_map(request.start)
-        return sp
-
-    def _sp_add(self, request: BlockRequest) -> None:
-        table = self._sp_queue
-        if table is None:
-            return
-        sp = self._spindle_of(request)
-        if request.op == READ:
-            self._sp_reads[sp] = self._sp_reads.get(sp, 0) + 1
-        reqs = table.get(sp)
-        if reqs is None:
-            table[sp] = [request]
-            self._sp_starts[sp] = [request.start]
-            return
-        starts = self._sp_starts[sp]
-        # bisect_left on both lists keeps equal-start runs in the same
-        # relative order as the main queue.
-        idx = bisect.bisect_left(starts, request.start)
-        reqs.insert(idx, request)
-        starts.insert(idx, request.start)
-
-    def _sp_remove(self, request: BlockRequest) -> None:
-        table = self._sp_queue
-        if table is None:
-            return
-        sp = self._spindle_of(request)
-        if request.op == READ:
-            self._sp_reads[sp] -= 1
-        reqs = table[sp]
-        starts = self._sp_starts[sp]
-        idx = bisect.bisect_left(starts, request.start)
-        while reqs[idx] is not request:
-            idx += 1
-        reqs.pop(idx)
-        starts.pop(idx)
+        self._due = due
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -286,14 +283,98 @@ class ElevatorScheduler:
 
         touched = self._try_merge(request)
         if touched is None:
-            idx = bisect.bisect_left(self._starts, request.start)
-            self._queue.insert(idx, request)
-            self._starts.insert(idx, request.start)
-            self._sp_add(request)
+            self._enqueue(request)
             touched = (request.spindle,)
 
         if self.on_submit is not None:
             self.on_submit(touched)
+
+    def _enqueue(self, request: BlockRequest) -> None:
+        """Insert ``request`` into the queue and every index."""
+        self._rank -= 1
+        request.queue_rank = rank = self._rank
+        start = request.start
+        idx = bisect.bisect_left(self._starts, start)
+        self._queue.insert(idx, request)
+        self._starts.insert(idx, start)
+        op = request.op
+        if op == WRITE:
+            files = self._writes_by_file
+            heads = files.get(request.file_id)
+            if heads is None:
+                files[request.file_id] = request
+            elif type(heads) is dict:
+                heads[id(request)] = request
+            else:
+                files[request.file_id] = {id(heads): heads, id(request): request}
+            if not request.sync:
+                self._plugged[id(request)] = request
+        table = self._sp_queue
+        if table is None:
+            return
+        sp = request.spindle
+        if sp is None:
+            sp = request.spindle = self.spindle_map(start)
+        entry = (request.submit_time, start, rank, request)
+        order = self._due[op].get(sp)
+        if order is None:
+            self._due[op][sp] = [entry]
+        else:
+            bisect.insort(order, entry)
+        reqs = table.get(sp)
+        if reqs is None:
+            table[sp] = [request]
+            self._sp_starts[sp] = [start]
+        else:
+            # bisect_left on both lists keeps equal-start runs in the
+            # same relative order as the main queue.
+            starts = self._sp_starts[sp]
+            idx = bisect.bisect_left(starts, start)
+            reqs.insert(idx, request)
+            starts.insert(idx, start)
+
+    def _dequeue(
+        self, request: BlockRequest, idx: _t.Optional[int] = None
+    ) -> None:
+        """Remove ``request`` (at ``idx`` of the main queue, when known)
+        from the queue and every index."""
+        queue = self._queue
+        start = request.start
+        if idx is None:
+            idx = bisect.bisect_left(self._starts, start)
+            while queue[idx] is not request:
+                idx += 1
+        queue.pop(idx)
+        self._starts.pop(idx)
+        op = request.op
+        if op == WRITE:
+            files = self._writes_by_file
+            heads = files[request.file_id]
+            if heads is request:
+                del files[request.file_id]
+            else:
+                del heads[id(request)]
+                if len(heads) == 1:
+                    (files[request.file_id],) = heads.values()
+            self._plugged.pop(id(request), None)
+        table = self._sp_queue
+        if table is None:
+            return
+        sp = request.spindle
+        order = self._due[op][sp]
+        # A 3-tuple sorts just before the one entry it prefixes.
+        del order[
+            bisect.bisect_left(
+                order, (request.submit_time, start, request.queue_rank)
+            )
+        ]
+        reqs = table[sp]
+        starts = self._sp_starts[sp]
+        idx = bisect.bisect_left(starts, start)
+        while reqs[idx] is not request:
+            idx += 1
+        reqs.pop(idx)
+        starts.pop(idx)
 
     def _try_merge(
         self, request: BlockRequest
@@ -330,15 +411,10 @@ class ElevatorScheduler:
                 and tail.write_generation == request.write_generation
             ):
                 # The new request becomes the head of the merged pair.
-                self._queue.pop(idx)
-                self._starts.pop(idx)
-                self._sp_remove(tail)
+                self._dequeue(tail, idx)
                 request.merged.append(tail)
                 request.length += tail.length
-                new_idx = bisect.bisect_left(self._starts, request.start)
-                self._queue.insert(new_idx, request)
-                self._starts.insert(new_idx, request.start)
-                self._sp_add(request)
+                self._enqueue(request)
                 self.stats.merges += 1
                 self._record_merge(tail, request, "front")
                 # The pair now belongs to the spindle of the new start,
@@ -378,21 +454,11 @@ class ElevatorScheduler:
         idx = bisect.bisect_left(self._starts, head_position)
         if idx >= len(self._queue):
             idx = 0  # C-LOOK wrap.
-        request = self._queue.pop(idx)
-        self._starts.pop(idx)
-        self._sp_remove(request)
+        request = self._queue[idx]
+        self._dequeue(request, idx)
         self.stats.dispatched += 1
         self.stats.dispatched_submissions += request.count_all()
         return request
-
-    def _main_remove(self, request: BlockRequest) -> None:
-        """Remove ``request`` from the main queue by identity."""
-        idx = bisect.bisect_left(self._starts, request.start)
-        queue = self._queue
-        while queue[idx] is not request:
-            idx += 1
-        queue.pop(idx)
-        self._starts.pop(idx)
 
     def _view(self, spindle_id: int) -> _t.Optional[_t.List[BlockRequest]]:
         """The queued requests owned by one spindle, sorted by start."""
@@ -421,71 +487,81 @@ class ElevatorScheduler:
         queue = self._view(spindle_id)
         if not queue:
             return None
-        starts = self._sp_starts[spindle_id]
         now = self.env.now
-        read_deadline = self.read_deadline
-        write_deadline = self.write_deadline
-        best_idx: _t.Optional[int] = None
-        wrap_idx: _t.Optional[int] = None
-        expired_idx: _t.Optional[int] = None
-        expired_time = float("inf")
-        for idx, (start, request) in enumerate(zip(starts, queue)):
-            if op is not None and request.op != op:
-                continue
-            submit_time = request.submit_time
-            if (
-                write_plug > 0.0
-                and request.op == WRITE
-                and not request.sync
-                and now - submit_time < write_plug
-            ):
-                continue  # still plugged: let neighbours merge in
-            deadline = (
-                read_deadline if request.op == READ else write_deadline
+        request = self._oldest_expired(spindle_id, op, now, write_plug)
+        if request is None:
+            # C-LOOK: the first dispatchable request at or after the
+            # head, else (wrapping) the first one before it.
+            n = len(queue)
+            first = bisect.bisect_left(
+                self._sp_starts[spindle_id], head_position
             )
-            if now - submit_time > deadline:
-                if submit_time < expired_time:
-                    expired_time = submit_time
-                    expired_idx = idx
-            if best_idx is None and start >= head_position:
-                best_idx = idx
-            if wrap_idx is None:
-                wrap_idx = idx
-        if expired_idx is not None:
-            idx: _t.Optional[int] = expired_idx
-        else:
-            idx = best_idx if best_idx is not None else wrap_idx
-        if idx is None:
-            return None
-        request = queue.pop(idx)
-        starts.pop(idx)
-        if request.op == READ:
-            self._sp_reads[spindle_id] -= 1
-        self._main_remove(request)
+            for idx in range(first, first + n):
+                request = queue[idx % n]
+                if op is not None and request.op != op:
+                    continue
+                if (
+                    write_plug > 0.0
+                    and request.op == WRITE
+                    and not request.sync
+                    and now - request.submit_time < write_plug
+                ):
+                    continue  # still plugged: let neighbours merge in
+                break
+            else:
+                return None
+        self._dequeue(request)
         self.stats.dispatched += 1
         self.stats.dispatched_submissions += request.count_all()
         return request
+
+    def _oldest_expired(
+        self,
+        spindle_id: int,
+        op: _t.Optional[str],
+        now: float,
+        write_plug: float,
+    ) -> _t.Optional[BlockRequest]:
+        """The deadline rule: the oldest dispatchable request of class
+        ``op`` (of either class for ``None``) past its deadline, ties in
+        view order, or ``None`` without one."""
+        best = None
+        for cls in (READ, WRITE) if op is None else (op,):
+            deadline = (
+                self.read_deadline if cls == READ else self.write_deadline
+            )
+            for entry in self._due[cls].get(spindle_id, ()):
+                age = now - entry[0]
+                if not age > deadline:
+                    break  # so is every younger one
+                if (
+                    cls == WRITE
+                    and write_plug > 0.0
+                    and age < write_plug
+                    and not entry[3].sync
+                ):
+                    continue  # a plug outlasting the deadline
+                if best is None or entry < best:
+                    best = entry
+                break
+        return None if best is None else best[3]
 
     def has_request_for_spindle(
         self, spindle_id: int, op: _t.Optional[str] = None
     ) -> bool:
         """Whether any request (of class ``op``) is queued for the spindle."""
-        queue = self._view(spindle_id)
-        if not queue or op is None:
-            return bool(queue)
-        reads = self._sp_reads.get(spindle_id, 0)
-        return reads > 0 if op == READ else reads < len(queue)
+        if op is None or self._sp_queue is None:
+            return bool(self._view(spindle_id))
+        return bool(self._due[op].get(spindle_id))
 
     def oldest_plugged_submit(self, spindle_id: int) -> _t.Optional[float]:
         """Submit time of the oldest async write queued for this spindle
         (the one whose plug expires first), or ``None`` without any."""
-        oldest: _t.Optional[float] = None
-        for request in self._view(spindle_id) or ():
-            if request.op != WRITE or request.sync:
-                continue  # never plugged: dispatchable already
-            if oldest is None or request.submit_time < oldest:
-                oldest = request.submit_time
-        return oldest
+        self._view(spindle_id)  # raises without a spindle map
+        for entry in self._due[WRITE].get(spindle_id, ()):
+            if not entry[3].sync:  # a sync write is never plugged
+                return entry[0]
+        return None
 
     def drop_all(self) -> int:
         """Discard every queued request (single-node death).
@@ -499,11 +575,14 @@ class ElevatorScheduler:
         dropped = len(self._queue)
         self._queue.clear()
         self._starts.clear()
+        self._writes_by_file.clear()
+        self._plugged.clear()
         if self._sp_queue is not None:
             touched = [sp for sp, reqs in self._sp_queue.items() if reqs]
             self._sp_queue.clear()
             self._sp_starts.clear()
-            self._sp_reads.clear()
+            for orders in self._due.values():
+                orders.clear()
             if touched and self.on_drop is not None:
                 self.on_drop(touched)
         return dropped
@@ -511,20 +590,26 @@ class ElevatorScheduler:
     def expedite_file(self, file_id: int) -> None:
         """Unplug every queued write of ``file_id`` (fsync kicks
         writeback: plugged async writes become dispatchable at once)."""
+        heads = self._writes_by_file.get(file_id)
+        if heads is None:
+            return
+        plugged = self._plugged
         touched = set()
-        for request in self._queue:
-            if request.file_id == file_id and request.op == WRITE:
-                request.sync = True
-                touched.add(request.spindle)
-        if touched and self.on_submit is not None:
+        for request in heads.values() if type(heads) is dict else (heads,):
+            request.sync = True
+            plugged.pop(id(request), None)
+            touched.add(request.spindle)
+        if self.on_submit is not None:
             self.on_submit(touched)
 
     def expedite_all_writes(self) -> None:
         """Unplug everything (memory-pressure writeback kick)."""
+        if not self._plugged:
+            return
         touched = set()
-        for request in self._queue:
-            if request.op == WRITE and not request.sync:
-                request.sync = True
-                touched.add(request.spindle)
-        if touched and self.on_submit is not None:
+        for request in self._plugged.values():
+            request.sync = True
+            touched.add(request.spindle)
+        self._plugged.clear()
+        if self.on_submit is not None:
             self.on_submit(touched)
