@@ -16,8 +16,8 @@ Subpackages
 ``repro.net``
     Network links, RPC layer, compound RPC envelopes.
 ``repro.mds``
-    Metadata server: namespace, allocation groups with B+ tree free-space
-    management, daemon-thread service model.
+    Metadata server: namespace, allocation groups with sorted free-extent
+    lists, daemon-thread service model.
 ``repro.client``
     Redbud client: layout-get / commit RPC paths, direct data path.
 ``repro.core``

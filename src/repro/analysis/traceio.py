@@ -12,8 +12,6 @@ Format: a header line followed by one dispatch per line::
 
 from __future__ import annotations
 
-import typing as _t
-
 from repro.storage.blktrace import BlkTrace, TraceRecord
 
 HEADER = "time,op,start,length,seek_distance,client,queued"
@@ -60,15 +58,3 @@ def load_trace(path: str) -> BlkTrace:
             )
     return trace
 
-
-def summarize_csv(path: str) -> _t.Dict[str, _t.Any]:
-    """Load + analyse in one step (offline inspection helper)."""
-    trace = load_trace(path)
-    analysis = trace.analyze()
-    return {
-        "records": len(trace),
-        "dispatches": analysis.dispatches,
-        "seek_fraction": analysis.seek_fraction,
-        "mean_seek_distance": analysis.mean_seek_distance,
-        "mean_run_length": analysis.mean_run_length,
-    }

@@ -28,11 +28,6 @@ from repro.core.kernel.events import (
 )
 from repro.core.kernel.process import Interrupt, Process
 from repro.core.kernel.resources import (
-    Container,
-    FilterStore,
-    FilterStoreGet,
-    PriorityItem,
-    PriorityStore,
     Request,
     Resource,
     Store,
@@ -48,13 +43,8 @@ __all__ = [
     "AnyOf",
     "Condition",
     "ConditionValue",
-    "Container",
     "Event",
-    "FilterStore",
-    "FilterStoreGet",
     "Interrupt",
-    "PriorityItem",
-    "PriorityStore",
     "Process",
     "Request",
     "Resource",

@@ -3,14 +3,11 @@
 These are the coordination structures the file-system protocol is written
 against:
 
-- :class:`Resource` -- counted semaphore (MDS daemon threads, disk channel).
-- :class:`Store` -- FIFO buffer of items (network queues, request queues).
-- :class:`PriorityStore` -- heap-ordered buffer (elevator staging).
-- :class:`FilterStore` -- buffer with predicate-matched gets (the commit
-  daemon's "check out the local-I/O-completed requests" step).
-- :class:`Container` -- continuous quantity (delegated free space).
+- :class:`Resource` -- counted semaphore (the MDS's metadata lock).
+- :class:`Store` -- FIFO buffer of items (the RPC server inbox, which
+  overrides ``_store_item`` / ``_take_item`` to serve message groups).
 
-All follow the SimPy idiom: operations return events that a process
+Both follow the SimPy idiom: operations return events that a process
 ``yield``\\ s; a request event used as a context manager auto-releases.
 Like the rest of the kernel they only touch the environment through the
 :class:`~repro.core.effects.Effects` contract, so they behave identically
@@ -19,10 +16,8 @@ on the virtual clock and on asyncio.
 
 from __future__ import annotations
 
-import heapq
 import typing as _t
 from collections import deque
-from dataclasses import dataclass, field
 
 from repro.core.kernel.events import Event
 
@@ -176,10 +171,8 @@ class Store:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.env = env
         self.capacity = capacity
-        #: Buffered items.  A deque for the FIFO stores (popleft is O(1);
-        #: under fan-in the old ``list.pop(0)`` made every dispatch pass
-        #: O(n)); :class:`PriorityStore` swaps in a list for ``heapq``.
-        self.items: _t.MutableSequence[_t.Any] = deque()
+        #: Buffered items; a deque, so each get under fan-in is O(1).
+        self.items: _t.Deque[_t.Any] = deque()
         self._puts: _t.Deque[StorePut] = deque()
         self._gets: _t.Deque[StoreGet] = deque()
 
@@ -226,7 +219,10 @@ class Store:
         self.items.append(item)
 
     def _take_item(self, get_event: StoreGet) -> _t.Optional[_t.Any]:
-        """Return an item for ``get_event`` or None if none available."""
+        """Return an item for ``get_event`` or None if none available.
+
+        Stores never buffer ``None``: it is reserved as the no-item signal.
+        """
         if self.items:
             return self.items.popleft()
         return None
@@ -259,202 +255,19 @@ class Store:
     def _serve_gets(self) -> bool:
         """Serve waiting gets in FIFO order; True if any was served.
 
-        For the FIFO stores an unsatisfiable get at the head means every
-        get behind it is unsatisfiable too (``_take_item`` ignores the
-        get), so the pass stops at the first failure instead of probing
-        each of the ``m`` waiters -- the old quadratic fan-in cost.
+        An unsatisfiable get at the head means every get behind it is
+        unsatisfiable too (``_take_item`` ignores the get), so the pass
+        stops at the first failure instead of probing each of the ``m``
+        waiters -- the old quadratic fan-in cost.
         """
         gets = self._gets
         served = False
         while gets:
             get = gets[0]
             item = self._take_item(get)
-            if item is None and not self._satisfied_with_none(get):
+            if item is None:
                 break
             gets.popleft()
             get.succeed(item)
             served = True
         return served
-
-    @staticmethod
-    def _satisfied_with_none(_get: StoreGet) -> bool:
-        """Whether a ``None`` return from ``_take_item`` means success.
-
-        Plain stores never buffer ``None`` (reserve it as the no-item
-        signal); subclasses keep that contract.
-        """
-        return False
-
-
-@dataclass(order=True)
-class PriorityItem:
-    """Wrapper giving any payload an explicit priority for a store."""
-
-    priority: float
-    item: _t.Any = field(compare=False)
-
-
-class PriorityStore(Store):
-    """A store whose gets return the smallest item first (heap order)."""
-
-    def __init__(
-        self, env: "Effects", capacity: float = float("inf")
-    ) -> None:
-        super().__init__(env, capacity)
-        # ``heapq`` requires a list, not the FIFO deque of the base class.
-        self.items = []
-
-    def _store_item(self, item: _t.Any) -> None:
-        heapq.heappush(self.items, item)
-
-    def _take_item(self, get_event: StoreGet) -> _t.Optional[_t.Any]:
-        if self.items:
-            return heapq.heappop(self.items)
-        return None
-
-
-class FilterStoreGet(StoreGet):
-    """A get that only matches items satisfying ``predicate``."""
-
-    __slots__ = ("predicate",)
-
-    def __init__(
-        self,
-        store: "FilterStore",
-        predicate: _t.Callable[[_t.Any], bool],
-    ) -> None:
-        self.predicate = predicate
-        super().__init__(store)
-
-
-class FilterStore(Store):
-    """A store supporting predicate-matched retrieval.
-
-    ``get(predicate)`` completes with the first (FIFO) item for which
-    ``predicate(item)`` is true.  This models the commit daemon checking
-    out only those commit records whose local data write has completed.
-    """
-
-    def get(  # type: ignore[override]
-        self, predicate: _t.Callable[[_t.Any], bool] = lambda item: True
-    ) -> FilterStoreGet:
-        return FilterStoreGet(self, predicate)
-
-    def _take_item(self, get_event: StoreGet) -> _t.Optional[_t.Any]:
-        predicate = getattr(get_event, "predicate", None)
-        if predicate is None:
-            return self.items.popleft() if self.items else None
-        for i, item in enumerate(self.items):
-            if predicate(item):
-                del self.items[i]
-                return item
-        return None
-
-    def _serve_gets(self) -> bool:
-        """One FIFO pass over every waiting get (predicates differ).
-
-        Unlike the FIFO stores, an unsatisfiable get here does not imply
-        the ones behind it fail too, so each waiter is probed once per
-        pass.  Rotating through the deque keeps the survivors in their
-        original order without rebuilding a ``remaining`` list; a get's
-        predicate is re-evaluated only when :meth:`Store._dispatch`
-        admitted new items or :meth:`notify` signalled an external state
-        change -- never spuriously within a pass.
-        """
-        gets = self._gets
-        served = False
-        for _ in range(len(gets)):
-            get = gets.popleft()
-            item = self._take_item(get)
-            if item is not None or self._satisfied_with_none(get):
-                get.succeed(item)
-                served = True
-            else:
-                gets.append(get)
-        return served
-
-    def notify(self) -> None:
-        """Re-evaluate waiting gets after external item-state changes.
-
-        FilterStore predicates may depend on mutable item state (e.g. a
-        commit record becoming data-stable); call this after mutating.
-        """
-        self._dispatch()
-
-
-# ---------------------------------------------------------------------------
-# Container (continuous quantity)
-# ---------------------------------------------------------------------------
-
-
-class ContainerPut(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float) -> None:
-        if amount <= 0:
-            raise ValueError(f"amount must be positive, got {amount}")
-        super().__init__(container.env)
-        self.amount = amount
-        container._puts.append(self)
-        container._dispatch()
-
-
-class ContainerGet(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float) -> None:
-        if amount <= 0:
-            raise ValueError(f"amount must be positive, got {amount}")
-        super().__init__(container.env)
-        self.amount = amount
-        container._gets.append(self)
-        container._dispatch()
-
-
-class Container:
-    """A homogeneous continuous quantity (bytes of delegated space, etc.)."""
-
-    def __init__(
-        self,
-        env: "Effects",
-        capacity: float = float("inf"),
-        init: float = 0.0,
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        if not 0 <= init <= capacity:
-            raise ValueError(f"init {init} outside [0, {capacity}]")
-        self.env = env
-        self.capacity = capacity
-        self._level = init
-        self._puts: _t.Deque[ContainerPut] = deque()
-        self._gets: _t.Deque[ContainerGet] = deque()
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> ContainerPut:
-        return ContainerPut(self, amount)
-
-    def get(self, amount: float) -> ContainerGet:
-        return ContainerGet(self, amount)
-
-    def _dispatch(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._puts:
-                put = self._puts[0]
-                if self._level + put.amount <= self.capacity:
-                    self._puts.popleft()
-                    self._level += put.amount
-                    put.succeed()
-                    progressed = True
-            if self._gets:
-                get = self._gets[0]
-                if get.amount <= self._level:
-                    self._gets.popleft()
-                    self._level -= get.amount
-                    get.succeed()
-                    progressed = True

@@ -21,7 +21,6 @@ from __future__ import annotations
 import typing as _t
 
 from repro.core.commit_queue import CommitQueue
-from repro.core.records import CommitRecord
 from repro.mds.extent import Extent
 from repro.net.messages import CommitOp, CommitPayload
 from repro.net.rpc import RpcClient
@@ -55,9 +54,6 @@ class CommitProtocol:
         tracing is off); it tags every downstream stage.
         """
         raise NotImplementedError
-
-    def on_record_committed(self, record: CommitRecord) -> None:
-        """Hook invoked by daemons when a queued record commits."""
 
 
 class SynchronousCommitProtocol(CommitProtocol):

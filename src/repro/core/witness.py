@@ -78,9 +78,6 @@ class WitnessSet:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def outstanding_ranges(self, file_id: int) -> IntervalSet:
-        return self._outstanding.get(file_id, IntervalSet())
-
     # -- the fast path -----------------------------------------------------
 
     def try_record(

@@ -30,8 +30,8 @@ recovery can garbage-collect orphans.
 from __future__ import annotations
 
 import typing as _t
+from bisect import bisect_right
 
-from repro.mds.btree import BPlusTree
 from repro.mds.extent import Chunk
 from repro.util.rng import StreamRNG
 from repro.util.intervals import IntervalSet
@@ -42,14 +42,18 @@ class OutOfSpaceError(Exception):
 
 
 class AllocationGroup:
-    """Free-space management for one contiguous slice of the volume."""
+    """Free-space management for one contiguous slice of the volume.
+
+    The paper's per-group B+ tree is modelled as a sorted extent list
+    (two parallel lists searched with ``bisect``): virtual time never
+    charged the tree's depth, and both pick the same free extent.
+    """
 
     def __init__(
         self,
         ag_id: int,
         start: int,
         size: int,
-        order: int = 64,
         cursor_align: int = 0,
     ) -> None:
         if size <= 0 or start < 0:
@@ -57,9 +61,10 @@ class AllocationGroup:
         self.ag_id = ag_id
         self.start = start
         self.size = size
-        #: offset -> length of each free extent.
-        self._free: BPlusTree[int, int] = BPlusTree(order=order)
-        self._free.insert(start, size)
+        #: Free extents, sorted by offset: ``_offs[i]`` starts one of
+        #: ``_lens[i]`` bytes.  Disjoint and never touching (coalesced).
+        self._offs: _t.List[int] = [start]
+        self._lens: _t.List[int] = [size]
         self.free_bytes = size
         self._cursor = start
         #: Post-allocation cursor alignment: real extent allocators keep
@@ -119,80 +124,84 @@ class AllocationGroup:
 
     def _alloc_from(self, origin: int, length: int) -> _t.Optional[int]:
         """First free extent at/after ``origin`` that fits; split it."""
+        offs, lens = self._offs, self._lens
+        i = bisect_right(offs, origin)
         # The extent straddling origin may have a usable tail.
-        floor = self._free.floor_item(origin)
-        if floor is not None:
-            f_off, f_len = floor
-            if f_off + f_len >= origin + length:
-                self._free.delete(f_off)
+        if i:
+            f_off = offs[i - 1]
+            f_end = f_off + lens[i - 1]
+            if f_end >= origin + length:
+                tail = f_end - (origin + length)
                 if origin > f_off:
-                    self._free.insert(f_off, origin - f_off)
-                tail = (f_off + f_len) - (origin + length)
-                if tail > 0:
-                    self._free.insert(origin + length, tail)
+                    lens[i - 1] = origin - f_off
+                    if tail:
+                        offs.insert(i, origin + length)
+                        lens.insert(i, tail)
+                elif tail:
+                    offs[i - 1] = origin + length
+                    lens[i - 1] = tail
+                else:
+                    del offs[i - 1], lens[i - 1]
                 return origin
-        item = self._free.ceiling_item(origin)
-        while item is not None:
-            f_off, f_len = item
+        for j in range(i, len(offs)):
+            f_len = lens[j]
             if f_len >= length:
-                self._free.delete(f_off)
+                f_off = offs[j]
                 if f_len > length:
-                    self._free.insert(f_off + length, f_len - length)
+                    offs[j] = f_off + length
+                    lens[j] = f_len - length
+                else:
+                    del offs[j], lens[j]
                 return f_off
-            item = self._free.ceiling_item(f_off + 1)
         return None
 
     def free(self, offset: int, length: int) -> None:
-        """Return ``[offset, offset+length)`` to the free pool, coalescing."""
+        """Return ``[offset, offset+length)`` to the free pool, coalescing.
+
+        A range overlapping free space is refused before anything
+        changes, so a rejected free leaves the group intact.
+        """
         if length <= 0:
             raise ValueError(f"length must be positive, got {length}")
-        if not (self.start <= offset and offset + length <= self.end):
+        end = offset + length
+        if not (self.start <= offset and end <= self.end):
             raise ValueError(
-                f"free [{offset}, {offset + length}) outside AG {self.ag_id}"
+                f"free [{offset}, {end}) outside AG {self.ag_id}"
             )
-        new_off, new_len = offset, length
-
-        floor = self._free.floor_item(offset)
-        if floor is not None:
-            f_off, f_len = floor
-            if f_off + f_len > offset:
+        offs, lens = self._offs, self._lens
+        i = bisect_right(offs, offset)
+        for j in range(max(i - 1, 0), min(i + 1, len(offs))):
+            if offs[j] < end and offset < offs[j] + lens[j]:
                 raise ValueError(
-                    f"double free: [{offset}, {offset + length}) overlaps "
-                    f"free extent [{f_off}, {f_off + f_len})"
+                    f"double free: [{offset}, {end}) overlaps "
+                    f"free extent [{offs[j]}, {offs[j] + lens[j]})"
                 )
-            if f_off + f_len == offset:  # coalesce left
-                self._free.delete(f_off)
-                new_off, new_len = f_off, f_len + new_len
-
-        ceiling = self._free.ceiling_item(offset)
-        if ceiling is not None:
-            c_off, c_len = ceiling
-            if c_off < offset + length:
-                raise ValueError(
-                    f"double free: [{offset}, {offset + length}) overlaps "
-                    f"free extent [{c_off}, {c_off + c_len})"
-                )
-            if c_off == offset + length:  # coalesce right
-                self._free.delete(c_off)
-                new_len += c_len
-
-        self._free.insert(new_off, new_len)
+        left = i > 0 and offs[i - 1] + lens[i - 1] == offset
+        right = i < len(offs) and offs[i] == end
+        if left and right:
+            lens[i - 1] += length + lens[i]
+            del offs[i], lens[i]
+        elif left:
+            lens[i - 1] += length
+        elif right:
+            offs[i] = offset
+            lens[i] += length
+        else:
+            offs.insert(i, offset)
+            lens.insert(i, length)
         self.free_bytes += length
 
     # -- introspection -------------------------------------------------------
 
     def free_extents(self) -> _t.List[_t.Tuple[int, int]]:
-        return list(self._free.items())
-
-    def largest_free_extent(self) -> int:
-        return max((ln for _, ln in self._free.items()), default=0)
+        return list(zip(self._offs, self._lens))
 
     def check_invariants(self) -> None:
         """Free extents must be in-bounds, disjoint, coalesced, and sum up."""
-        self._free.check_invariants()
+        assert len(self._offs) == len(self._lens)
         total = 0
         prev_end: _t.Optional[int] = None
-        for off, ln in self._free.items():
+        for off, ln in zip(self._offs, self._lens):
             assert ln > 0
             assert self.start <= off and off + ln <= self.end, "out of bounds"
             if prev_end is not None:

@@ -9,7 +9,6 @@ is called a layout."
 
 from __future__ import annotations
 
-import typing as _t
 from dataclasses import dataclass, replace
 
 #: Extent allocated but whose metadata is not yet durable at the MDS.
@@ -65,18 +64,3 @@ class Chunk:
         return self.volume_offset + self.length
 
 
-Layout = _t.List[Extent]
-
-
-def layout_covers(layout: Layout, offset: int, length: int) -> bool:
-    """Whether ``layout`` maps every byte of ``[offset, offset+length)``."""
-    need = offset
-    end = offset + length
-    for extent in sorted(layout, key=lambda e: e.file_offset):
-        if extent.file_offset > need:
-            return False
-        if extent.file_end > need:
-            need = extent.file_end
-        if need >= end:
-            return True
-    return need >= end

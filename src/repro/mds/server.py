@@ -619,10 +619,6 @@ class MetadataServer:
         return self.port.queue_length
 
     @property
-    def active_daemons(self) -> int:
-        return self._active
-
-    @property
     def utilization(self) -> float:
         if self.env.now <= 0:
             return 0.0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.traceio import dump_trace, load_trace, summarize_csv
+from repro.analysis.traceio import dump_trace, load_trace
 from repro.storage.blktrace import BlkTrace
 
 
@@ -36,15 +36,6 @@ def test_round_trip_preserves_analysis(tmp_path):
     a = trace.analyze()
     b = load_trace(path).analyze()
     assert a == b
-
-
-def test_summarize(tmp_path):
-    trace = make_trace(12)
-    path = str(tmp_path / "t.csv")
-    dump_trace(trace, path)
-    summary = summarize_csv(path)
-    assert summary["records"] == 12
-    assert 0 <= summary["seek_fraction"] <= 1
 
 
 def test_empty_trace(tmp_path):

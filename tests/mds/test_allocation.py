@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mds.allocation import AllocationGroup, OutOfSpaceError, SpaceManager
+from repro.util.intervals import IntervalSet
 
 
 # -- AllocationGroup -----------------------------------------------------------
@@ -98,32 +99,74 @@ def test_ag_validation():
         ag.free(0, 0)
 
 
+def test_ag_rejected_free_leaves_group_intact():
+    """A refused free must not coalesce with its left neighbour first."""
+    ag = AllocationGroup(0, start=0, size=100)
+    a, b, c = ag.alloc(10), ag.alloc(10), ag.alloc(10)
+    ag.free(a, 10)
+    ag.free(c, 10)
+    assert ag.free_extents() == [(0, 10), (20, 80)]
+    with pytest.raises(ValueError, match="double free"):
+        ag.free(b, 15)  # [10, 25) touches [0, 10), overlaps [20, 100)
+    assert ag.free_extents() == [(0, 10), (20, 80)]
+    assert ag.free_bytes == 90
+    ag.check_invariants()
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(
-        st.tuples(st.sampled_from(["alloc", "free"]), st.integers(1, 64)),
+        st.tuples(
+            st.sampled_from(["alloc", "scattered", "free", "bad_free"]),
+            st.integers(1, 64),
+            st.integers(0, 1023),
+        ),
         max_size=80,
     )
 )
 def test_ag_never_double_allocates(ops):
-    """Property: allocations never overlap; accounting always balances."""
-    ag = AllocationGroup(0, start=0, size=1024)
+    """Model: the free map is the coalesced complement of the held ranges.
+
+    Mixes next-fit and scattered allocation, frees of held ranges, and
+    frees overlapping free space, which must be refused without a trace.
+    """
+    size = 1024
+    ag = AllocationGroup(0, start=0, size=size)
     held = []  # (offset, length)
-    for op, size in ops:
-        if op == "alloc":
-            offset = ag.alloc(size)
+
+    def model():
+        free = IntervalSet([(0, size)])
+        for h_off, h_len in held:
+            free.remove(h_off, h_off + h_len)
+        return free
+
+    for op, length, where in ops:
+        free = model()
+        if op in ("alloc", "scattered"):
+            if op == "alloc":
+                offset = ag.alloc(length)
+            else:
+                offset = ag.alloc_scattered(length, where)
+            fits = any(end - start >= length for start, end in free)
+            assert (offset is not None) == fits
             if offset is not None:
-                for h_off, h_len in held:
-                    assert offset + size <= h_off or offset >= h_off + h_len, (
-                        "allocator returned overlapping space"
-                    )
-                held.append((offset, size))
-        elif held:
-            idx = size % len(held)
-            h_off, h_len = held.pop(idx)
-            ag.free(h_off, h_len)
+                assert free.contains(offset, offset + length), (
+                    "allocator returned space it does not own"
+                )
+                held.append((offset, length))
+        elif op == "free":
+            if held:
+                ag.free(*held.pop(where % len(held)))
+        else:
+            end = min(where + length, size)
+            if free.overlaps(where, end):
+                with pytest.raises(ValueError, match="double free"):
+                    ag.free(where, end - where)
         ag.check_invariants()
-    assert ag.free_bytes == 1024 - sum(ln for _, ln in held)
+        assert ag.free_extents() == [
+            (start, end - start) for start, end in model()
+        ]
+    assert ag.free_bytes == size - sum(ln for _, ln in held)
 
 
 # -- SpaceManager --------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mds.extent import EXTENT_COMMITTED, Extent, layout_covers
+from repro.mds.extent import EXTENT_COMMITTED, Extent
 from repro.mds.namespace import (
     FileExistsMdsError,
     FileNotFoundMdsError,
@@ -141,12 +141,3 @@ def test_extent_committed_copy():
     assert c.state == EXTENT_COMMITTED
     assert e.state != EXTENT_COMMITTED
     assert c.volume_end == 15 and c.file_end == 10
-
-
-def test_layout_covers():
-    layout = [ext(0, 4096, 0), ext(4096, 4096, 9000)]
-    assert layout_covers(layout, 0, 8192)
-    assert layout_covers(layout, 2048, 4096)
-    assert not layout_covers(layout, 0, 8193)
-    assert not layout_covers([ext(0, 10, 0), ext(20, 10, 0)], 0, 30)
-    assert layout_covers([], 5, 0)

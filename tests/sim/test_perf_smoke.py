@@ -19,7 +19,7 @@ import pytest
 
 from repro.fs.factory import build_cluster
 from repro.obs import Instrumentation
-from repro.core.kernel.resources import FilterStore, Store
+from repro.core.kernel.resources import Store
 from repro.sim import Environment
 from repro.workloads.xcdn import XcdnWorkload
 
@@ -27,14 +27,13 @@ from repro.workloads.xcdn import XcdnWorkload
 
 
 def build_synthetic(env, scale=1000):
-    """Timeout churn, store ping-pong, fan-in, and filtered gets.
+    """Timeout churn, store ping-pong and fan-in.
 
     Mirrors the simulator's hot patterns: RPC inboxes with many waiting
-    daemons (fan-in), commit-daemon filtered checkouts, and dense
-    timeout scheduling.  Event count is a pure function of ``scale``.
+    daemons (fan-in) and dense timeout scheduling.  Event count is a
+    pure function of ``scale``.
     """
     inbox = Store(env)
-    fstore = FilterStore(env)
 
     def ticker(env, n, dt):
         for _ in range(n):
@@ -51,26 +50,15 @@ def build_synthetic(env, scale=1000):
         for _ in range(n):
             yield inbox.get()
 
-    def fproducer(env, n):
-        for i in range(n):
-            yield fstore.put(i)
-
-    def fconsumer(env, parity, n):
-        for _ in range(n):
-            yield fstore.get(lambda x, p=parity: x % 4 == p)
-
     env.process(ticker(env, scale * 10, 0.001))
     env.process(producer(env, scale * 16))
     for _ in range(32):
         env.process(daemon(env, scale // 2))
-    env.process(fproducer(env, scale * 4))
-    for parity in range(4):
-        env.process(fconsumer(env, parity, scale))
 
 
 #: Exact calendar size of ``build_synthetic(scale=2000)``; drift here
 #: means the engine's scheduling behaviour changed, not just its speed.
-SYNTHETIC_EVENTS = 104078
+SYNTHETIC_EVENTS = 88068
 
 
 def test_synthetic_event_count_is_exact():

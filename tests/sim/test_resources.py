@@ -1,15 +1,8 @@
-"""Tests for Resource, Store, PriorityStore, FilterStore and Container."""
+"""Tests for Resource and Store."""
 
 import pytest
 
-from repro.core.kernel import (
-    Container,
-    FilterStore,
-    PriorityItem,
-    PriorityStore,
-    Resource,
-    Store,
-)
+from repro.core.kernel import Resource, Store
 from repro.sim import Environment
 
 
@@ -176,138 +169,3 @@ def test_store_len(env):
     store.put("b")
     env.run()
     assert len(store) == 2
-
-
-# -- PriorityStore -------------------------------------------------------------
-
-
-def test_priority_store_orders_items(env):
-    store = PriorityStore(env)
-    got = []
-
-    def producer(env):
-        yield store.put(PriorityItem(3, "low"))
-        yield store.put(PriorityItem(1, "high"))
-        yield store.put(PriorityItem(2, "mid"))
-
-    def consumer(env):
-        yield env.timeout(1)
-        for _ in range(3):
-            item = yield store.get()
-            got.append(item.item)
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert got == ["high", "mid", "low"]
-
-
-# -- FilterStore ---------------------------------------------------------------
-
-
-def test_filter_store_matches_predicate(env):
-    store = FilterStore(env)
-    got = []
-
-    def producer(env):
-        for i in range(5):
-            yield store.put(i)
-
-    def consumer(env):
-        item = yield store.get(lambda x: x % 2 == 1)
-        got.append(item)
-        item = yield store.get(lambda x: x % 2 == 1)
-        got.append(item)
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert got == [1, 3]
-    assert sorted(store.items) == [0, 2, 4]
-
-
-def test_filter_store_notify_rechecks_predicates(env):
-    store = FilterStore(env)
-    box = {"ready": False}
-    got = []
-
-    def consumer(env):
-        item = yield store.get(lambda x: box["ready"])
-        got.append((env.now, item))
-
-    def mutator(env):
-        yield store.put("record")
-        yield env.timeout(4)
-        box["ready"] = True
-        store.notify()
-
-    env.process(consumer(env))
-    env.process(mutator(env))
-    env.run()
-    assert got == [(4.0, "record")]
-
-
-# -- Container -------------------------------------------------------------------
-
-
-def test_container_levels(env):
-    box = Container(env, capacity=100, init=50)
-
-    def proc(env):
-        yield box.get(30)
-        assert box.level == 20
-        yield box.put(60)
-        assert box.level == 80
-
-    env.process(proc(env))
-    env.run()
-
-
-def test_container_get_blocks_until_enough(env):
-    box = Container(env, capacity=100, init=0)
-    log = []
-
-    def consumer(env):
-        yield box.get(10)
-        log.append(env.now)
-
-    def producer(env):
-        yield env.timeout(2)
-        yield box.put(5)
-        yield env.timeout(2)
-        yield box.put(5)
-
-    env.process(consumer(env))
-    env.process(producer(env))
-    env.run()
-    assert log == [4.0]
-
-
-def test_container_put_blocks_at_capacity(env):
-    box = Container(env, capacity=10, init=10)
-    log = []
-
-    def producer(env):
-        yield box.put(5)
-        log.append(env.now)
-
-    def consumer(env):
-        yield env.timeout(3)
-        yield box.get(5)
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert log == [3.0]
-
-
-def test_container_validation(env):
-    with pytest.raises(ValueError):
-        Container(env, capacity=0)
-    with pytest.raises(ValueError):
-        Container(env, capacity=10, init=20)
-    box = Container(env, capacity=10)
-    with pytest.raises(ValueError):
-        box.get(0)
-    with pytest.raises(ValueError):
-        box.put(-1)

@@ -8,14 +8,12 @@ contract the restructure must preserve:
   (fan-in FIFO);
 - puts complete in submission order under a capacity bound, and the
   put/get cascade drains fully in one delta cycle;
-- ``FilterStore`` keeps unsatisfied getters in relative order while
-  satisfied ones are served (rotation fairness);
 - two identical runs interleave identically (determinism).
 """
 
 import pytest
 
-from repro.core.kernel import FilterStore, PriorityItem, PriorityStore, Store
+from repro.core.kernel import Store
 from repro.sim import Environment
 
 
@@ -95,90 +93,14 @@ def test_put_get_cascade_drains_in_one_pass(env):
     assert len(store.items) == 0
 
 
-def test_filter_store_preserves_unsatisfied_getter_order(env):
-    fstore = FilterStore(env)
-    served = []
-
-    def getter(env, tag, want):
-        item = yield fstore.get(lambda x, w=want: x % 2 == w)
-        served.append((tag, item))
-
-    # a wants odd, b wants even, c wants odd.
-    env.process(getter(env, "a", 1))
-    env.process(getter(env, "b", 0))
-    env.process(getter(env, "c", 1))
-
-    def producer(env):
-        yield env.timeout(1)
-        yield fstore.put(3)  # odd -> a (earliest odd-getter)
-        yield env.timeout(1)
-        yield fstore.put(5)  # odd -> c (b keeps its place, unsatisfied)
-        yield env.timeout(1)
-        yield fstore.put(2)  # even -> b
-
-    env.process(producer(env))
-    env.run()
-    assert served == [("a", 3), ("c", 5), ("b", 2)]
-
-
-def test_filter_store_skipped_item_stays_available(env):
-    fstore = FilterStore(env)
-    got = []
-
-    def wants_even(env):
-        item = yield fstore.get(lambda x: x % 2 == 0)
-        got.append(("even", item))
-
-    def wants_any(env):
-        yield env.timeout(1)
-        item = yield fstore.get()
-        got.append(("any", item))
-
-    env.process(wants_even(env))
-    env.process(wants_any(env))
-
-    def producer(env):
-        yield fstore.put(1)  # skipped by the even-getter
-        yield env.timeout(2)
-        yield fstore.put(4)
-
-    env.process(producer(env))
-    env.run()
-    # The any-getter drains the skipped odd item; the even-getter gets 4.
-    assert got == [("any", 1), ("even", 4)]
-    assert len(fstore.items) == 0
-
-
-def test_priority_store_orders_after_deque_rework(env):
-    pstore = PriorityStore(env)
-    got = []
-
-    def consumer(env):
-        yield env.timeout(1)
-        for _ in range(3):
-            item = yield pstore.get()
-            got.append(item.priority)
-
-    env.process(consumer(env))
-
-    def producer(env):
-        for prio in (5, 1, 3):
-            yield pstore.put(PriorityItem(prio, str(prio)))
-
-    env.process(producer(env))
-    env.run()
-    assert got == [1, 3, 5]
-
-
 def _interleaved_trace(seed_offset):
     env = Environment()
     store = Store(env, capacity=3)
-    fstore = FilterStore(env)
     trace = []
 
     def producer(env, n):
         for i in range(n):
-            yield store.put(i)
+            yield store.put(i + seed_offset)
             trace.append(("p", i, env.now))
             if i % 3 == 0:
                 yield env.timeout(0.001)
@@ -188,22 +110,9 @@ def _interleaved_trace(seed_offset):
             item = yield store.get()
             trace.append(("c", tag, item, env.now))
 
-    def fproducer(env, n):
-        for i in range(n):
-            yield fstore.put(i + seed_offset)
-            yield env.timeout(0.0005)
-
-    def fconsumer(env, parity, n):
-        for _ in range(n):
-            item = yield fstore.get(lambda x, p=parity: x % 2 == p)
-            trace.append(("f", parity, item, env.now))
-
     env.process(producer(env, 30))
     for tag in range(3):
         env.process(consumer(env, tag, 10))
-    env.process(fproducer(env, 20))
-    for parity in range(2):
-        env.process(fconsumer(env, parity, 10))
     env.run()
     return trace
 
