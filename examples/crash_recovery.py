@@ -12,12 +12,10 @@ Run::
     python examples/crash_recovery.py
 """
 
-from repro.analysis.metrics import OpMetrics
 from repro.consistency import check_ordered_writes, crash_cluster, recover
 from repro.fs import ClusterConfig, RedbudCluster
 from repro.util import fmt_bytes
 from repro.workloads import XcdnWorkload
-from repro.workloads.spec import WorkloadContext
 
 
 def launch(commit_mode: str):
@@ -27,31 +25,9 @@ def launch(commit_mode: str):
         space_delegation=(commit_mode != "synchronous"),
     )
     cluster = RedbudCluster(config, seed=31)
-    env = cluster.env
     workload = XcdnWorkload(file_size=32 * 1024, seed_files_per_client=10)
-    shared: dict = {}
-    contexts = [
-        WorkloadContext(
-            env=env,
-            fs=cluster.clients[i],
-            rng=cluster.root_rng.stream("wl", i),
-            client_index=i,
-            num_clients=config.num_clients,
-            metrics=OpMetrics(),
-            shared=shared,
-        )
-        for i in range(config.num_clients)
-    ]
-    setups = [env.process(workload.setup(ctx)) for ctx in contexts]
-    env.run(until=env.all_of(setups))
-
-    def forever(ctx, tid):
-        while True:
-            yield from workload.op(ctx, tid)
-
-    for ctx in contexts:
-        for tid in range(workload.threads_per_client):
-            env.process(forever(ctx, tid))
+    run = cluster.start_workload(workload)
+    cluster.env.run(until=cluster.env.all_of(run.setups))
     return cluster
 
 

@@ -41,10 +41,9 @@ from repro.mds.server import MdsParameters
 from repro.net.rpc import RetryPolicy
 from repro.obs import Instrumentation
 from repro.util.rng import StreamRNG
-from repro.workloads.spec import WorkloadContext
 
-__all__ = ["RunOutcome", "Counterexample", "CheckReport", "run_schedule",
-           "explore"]
+__all__ = ["RunOutcome", "Counterexample", "CheckReport", "check_config",
+           "run_schedule", "explore"]
 
 #: Crash "just after" a transition: the event at ``t`` has executed,
 #: nothing later has.
@@ -158,6 +157,28 @@ class CheckReport:
         )
 
 
+def check_config(
+    clients: int, mode: str, shards: int, replication: str, *, retry: bool
+) -> ClusterConfig:
+    """The cluster every check and soak run builds (``retry`` arms the
+    RPC retry policy a faulted schedule needs)."""
+    return ClusterConfig(
+        num_clients=clients,
+        commit_mode=mode,
+        space_delegation=(mode != "synchronous"),
+        mds=MdsParameters(
+            lease_duration=LEASE_DURATION,
+            gc_scan_interval=GC_SCAN_INTERVAL,
+            shards=shards,
+        ),
+        retry=RetryPolicy() if retry else None,
+        replication=replication,
+        # Small witness budget so the overflow fallback is reachable
+        # inside a short check run, not just at bench scale.
+        witness_capacity=16,
+    )
+
+
 def run_schedule(
     spec: FaultSpec,
     *,
@@ -179,20 +200,8 @@ def run_schedule(
     its slow-trickle workload so rebased long-horizon windows stay
     cheap); default is the standard check mix.
     """
-    config = ClusterConfig(
-        num_clients=clients,
-        commit_mode=mode,
-        space_delegation=(mode != "synchronous"),
-        mds=MdsParameters(
-            lease_duration=LEASE_DURATION,
-            gc_scan_interval=GC_SCAN_INTERVAL,
-            shards=shards,
-        ),
-        retry=None if spec.empty else RetryPolicy(),
-        replication=replication,
-        # Small witness budget so the overflow fallback is reachable
-        # inside a short check run, not just at bench scale.
-        witness_capacity=16,
+    config = check_config(
+        clients, mode, shards, replication, retry=not spec.empty
     )
     obs = Instrumentation()
     cluster = RedbudCluster(config, seed=seed, obs=obs)
@@ -201,41 +210,7 @@ def run_schedule(
     injector = FaultInjector(cluster, spec) if not spec.empty else None
 
     env = cluster.env
-    if workload is None:
-        workload = CheckWorkload()
-    shared: _t.Dict[str, _t.Any] = {}
-    from repro.analysis.metrics import OpMetrics
-
-    contexts = [
-        WorkloadContext(
-            env=env,
-            fs=cluster.clients[i],
-            rng=cluster.root_rng.stream("wl", i),
-            client_index=i,
-            num_clients=clients,
-            metrics=OpMetrics(),
-            shared=shared,
-        )
-        for i in range(clients)
-    ]
-    setups = [env.process(workload.setup(ctx)) for ctx in contexts]
-
-    halt = {"stop": False}
-
-    def forever(ctx: WorkloadContext, tid: int) -> _t.Generator:
-        while not halt["stop"]:
-            yield from workload.op(ctx, tid)
-            yield from workload.think(ctx)
-
-    def driver() -> _t.Generator:
-        yield env.all_of(setups)
-        cluster.setup_complete = True
-        for ctx in contexts:
-            ctx.in_setup = False
-            for tid in range(workload.threads_per_client):
-                env.process(forever(ctx, tid), name=f"check-op-{tid}")
-
-    env.process(driver(), name="check-driver")
+    run = cluster.start_workload(workload or CheckWorkload())
 
     if spec.crash_at is not None:
         state = crash_cluster(
@@ -249,9 +224,9 @@ def run_schedule(
             cluster=cluster,
         )
 
-    env.run(until=env.all_of(setups))
+    env.run(until=env.all_of(run.setups))
     env.run(until=env.now + run_span)
-    halt["stop"] = True
+    run.stop()
     if injector is not None:
         injector.stop()
     cluster.settle(grace=SETTLE_GRACE)

@@ -40,6 +40,7 @@ from repro.check.explorer import (
     GC_SCAN_INTERVAL,
     LEASE_DURATION,
     SETTLE_GRACE,
+    check_config,
     run_schedule,
 )
 from repro.check.oracle import Verdict, judge_live
@@ -53,10 +54,7 @@ from repro.faults.nemesis import (
     TrackedNemesis,
 )
 from repro.faults.tracking import CLUSTER_WIDE, FaultTracker
-from repro.fs.config import ClusterConfig
 from repro.fs.redbud import RedbudCluster
-from repro.mds.server import MdsParameters
-from repro.net.rpc import RetryPolicy
 from repro.util.rng import StreamRNG
 from repro.workloads.spec import WorkloadContext, timed
 
@@ -93,11 +91,10 @@ class SoakWorkload(CheckWorkload):
     clock, with the scratch-file population capped so the namespace and
     volume stay bounded over the horizon.
 
-    Unlike :class:`CheckWorkload`, the pacing lives *inside* ``op``
-    (``think`` is a no-op): the bench driver behind ``repro run
-    --workload soak`` loops over bare ``op`` calls, and a shrunk soak
-    counterexample must reproduce under that driver with the same
-    timing it failed with under the soak driver.
+    Like every personality it paces itself inside ``op`` (``think`` is
+    a no-op): both drivers loop bare ``op`` calls, so a shrunk soak
+    counterexample replays under ``repro run --workload soak`` with the
+    same timing it failed with under the soak.
     """
 
     name = "soak"
@@ -434,19 +431,7 @@ def run_soak(
     )
     out = emit if emit is not None else (lambda payload: None)
 
-    config = ClusterConfig(
-        num_clients=clients,
-        commit_mode=mode,
-        space_delegation=(mode != "synchronous"),
-        mds=MdsParameters(
-            lease_duration=LEASE_DURATION,
-            gc_scan_interval=GC_SCAN_INTERVAL,
-            shards=shards,
-        ),
-        retry=RetryPolicy(),
-        replication=replication,
-        witness_capacity=16,
-    )
+    config = check_config(clients, mode, shards, replication, retry=True)
     # Untraced on purpose: a tracer over tens of virtual hours would
     # hold millions of events; the FaultTracker carries the excusal
     # state the oracles need without a trace.
@@ -472,40 +457,8 @@ def run_soak(
     tracker = injector.tracker if injector is not None else FaultTracker()
 
     env = cluster.env
-    workload = SoakWorkload()
-    shared: _t.Dict[str, _t.Any] = {}
-    from repro.analysis.metrics import OpMetrics
-
-    contexts = [
-        WorkloadContext(
-            env=env,
-            fs=cluster.clients[i],
-            rng=cluster.root_rng.stream("wl", i),
-            client_index=i,
-            num_clients=clients,
-            metrics=OpMetrics(),
-            shared=shared,
-        )
-        for i in range(clients)
-    ]
-    setups = [env.process(workload.setup(ctx)) for ctx in contexts]
-    halt = {"stop": False}
-
-    def forever(ctx: WorkloadContext, tid: int) -> _t.Generator:
-        while not halt["stop"]:
-            yield from workload.op(ctx, tid)
-            yield from workload.think(ctx)
-
-    def driver() -> _t.Generator:
-        yield env.all_of(setups)
-        cluster.setup_complete = True
-        for ctx in contexts:
-            ctx.in_setup = False
-            for tid in range(workload.threads_per_client):
-                env.process(forever(ctx, tid), name=f"soak-op-{tid}")
-
-    env.process(driver(), name="soak-driver")
-    env.run(until=env.all_of(setups))
+    run = cluster.start_workload(SoakWorkload())
+    env.run(until=env.all_of(run.setups))
     start = env.now
     end_time = start + horizon
 
@@ -554,7 +507,7 @@ def run_soak(
         for when, _tie, what, action in entries:
             if when > env.now:
                 yield env.timeout(when - env.now)
-            if halt["stop"]:
+            if run.stopped:
                 return
             if what == "heal" and action.kind == "client_death":
                 rec = find_record(action)
@@ -574,7 +527,7 @@ def run_soak(
         target = action.end + CONVERGENCE_GRACE
         if target > env.now:
             yield env.timeout(target - env.now)
-        if halt["stop"]:
+        if run.stopped:
             return
         rec = find_record(action)
         self_id = rec.fault_id if rec is not None else None
@@ -616,9 +569,9 @@ def run_soak(
     def progress_monitor() -> _t.Generator:
         last = sum(s.requests_processed for s in cluster.metadata)
         lo = env.now
-        while not halt["stop"]:
+        while not run.stopped:
             yield env.timeout(PROGRESS_WINDOW)
-            if halt["stop"]:
+            if run.stopped:
                 return
             current = sum(
                 s.requests_processed for s in cluster.metadata
@@ -637,9 +590,9 @@ def run_soak(
     def sweep_monitor() -> _t.Generator:
         interval = max(60.0, horizon / max(1, sweeps))
         prev = env.now
-        while not halt["stop"]:
+        while not run.stopped:
             yield env.timeout(interval)
-            if halt["stop"]:
+            if run.stopped:
                 return
             verdict = judge_live(cluster)
             report.sweeps_run += 1
@@ -665,7 +618,7 @@ def run_soak(
         env.process(probe(action), name=f"soak-probe-{action.start}")
 
     env.run(until=end_time)
-    halt["stop"] = True
+    run.stop()
     if injector is not None:
         injector.stop()
     cluster.settle(grace=SETTLE_GRACE)

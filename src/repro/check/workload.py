@@ -74,3 +74,4 @@ class CheckWorkload(Workload):
         else:
             file_id = ctx.state["scratch"].pop(0)
             yield from ctx.fs.unlink(file_id)
+        yield from self.think(ctx)

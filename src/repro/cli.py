@@ -72,6 +72,7 @@ import typing as _t
 
 from repro.analysis import Table
 from repro.consistency import crash_cluster
+from repro.core.protocol import COMMIT_MODES
 from repro.fs import build_cluster
 from repro.fs.factory import SYSTEMS
 from repro.util import fmt_rate, fmt_time
@@ -173,7 +174,7 @@ def _check_writable(path: str) -> _t.Optional[str]:
 
 
 def _build_obs(args: argparse.Namespace) -> _t.Optional[_t.Any]:
-    if not getattr(args, "trace", None):
+    if not args.trace:
         return None
     from repro.obs import Instrumentation
 
@@ -215,14 +216,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(err, file=sys.stderr)
         return 2
     slo_spec = None
-    if getattr(args, "slo", None):
+    if args.slo:
         slo_spec = _parse_slo(args.slo)
         if slo_spec is None:
             return 2
     obs = _build_obs(args)
     config_kw: _t.Dict[str, _t.Any] = {}
     spec = None
-    if getattr(args, "faults", None):
+    if args.faults:
         from repro.faults import FaultSpec
 
         try:
@@ -276,8 +277,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     for flag, used in (
         ("--shards", args.shards > 1),
         ("--replication", args.replication != "none"),
-        ("--check", getattr(args, "check", False)),
-        ("--seed-bug", getattr(args, "seed_bug", "none") != "none"),
+        ("--check", args.check),
+        ("--seed-bug", args.seed_bug != "none"),
     ):
         if used and not args.system.startswith("redbud"):
             print(
@@ -289,7 +290,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         config_kw["shards"] = args.shards
     if args.replication != "none":
         config_kw["replication"] = args.replication
-    if getattr(args, "processes", None) is not None:
+    if args.processes is not None:
         if spec is not None and spec.client_deaths:
             # client_death addresses one workload personality by index
             # (client_death=3 kills client 3); under aggregation a node
@@ -308,13 +309,13 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
             return 2
         config_kw["client_processes"] = args.processes
-    if getattr(args, "delegation_chunk", None) is not None:
+    if args.delegation_chunk is not None:
         config_kw["delegation_chunk"] = args.delegation_chunk
     cluster = build_cluster(
         args.system, num_clients=args.clients, seed=args.seed, obs=obs,
         **config_kw,
     )
-    if getattr(args, "seed_bug", "none") != "none":
+    if args.seed_bug != "none":
         from repro.check.soak import seed_bug_tweak
 
         bug_tweak = seed_bug_tweak(args.seed_bug)
@@ -332,7 +333,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         injector.stop()
         _settle(cluster)
     check_verdict = None
-    if getattr(args, "check", False):
+    if args.check:
         from repro.check import judge_converged, judge_live
 
         if injector is None:
@@ -457,7 +458,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print(err, file=sys.stderr)
         return 2
     slo_spec = None
-    if getattr(args, "slo", None):
+    if args.slo:
         slo_spec = _parse_slo(args.slo)
         if slo_spec is None:
             return 2
@@ -813,10 +814,8 @@ def cmd_figures(_args: argparse.Namespace) -> int:
 
 
 def cmd_crash(args: argparse.Namespace) -> int:
-    from repro.analysis.metrics import OpMetrics
     from repro.check import judge_crash
     from repro.fs import ClusterConfig, RedbudCluster
-    from repro.workloads.spec import WorkloadContext
 
     config = ClusterConfig(
         num_clients=args.clients,
@@ -825,31 +824,8 @@ def cmd_crash(args: argparse.Namespace) -> int:
     )
     cluster = RedbudCluster(config, seed=args.seed)
     env = cluster.env
-    workload = WORKLOADS[args.workload]()
-    shared: dict = {}
-    contexts = [
-        WorkloadContext(
-            env=env,
-            fs=cluster.clients[i],
-            rng=cluster.root_rng.stream("wl", i),
-            client_index=i,
-            num_clients=args.clients,
-            metrics=OpMetrics(),
-            shared=shared,
-        )
-        for i in range(args.clients)
-    ]
-    setups = [env.process(workload.setup(ctx)) for ctx in contexts]
-    env.run(until=env.all_of(setups))
-
-    def forever(ctx, tid):
-        while True:
-            yield from workload.op(ctx, tid)
-
-    for ctx in contexts:
-        for tid in range(workload.threads_per_client):
-            env.process(forever(ctx, tid))
-
+    run = cluster.start_workload(WORKLOADS[args.workload]())
+    env.run(until=env.all_of(run.setups))
     state = crash_cluster(cluster, at_time=env.now + args.at)
     print(
         f"crash at t={state.crash_time:.3f}s: lost "
@@ -1167,6 +1143,36 @@ def build_parser() -> argparse.ArgumentParser:
             "--workload", choices=sorted(WORKLOADS), default="xcdn-32K"
         )
 
+    def cluster_flags(p: argparse.ArgumentParser) -> None:
+        """The redbud cluster shape ``run``, ``check`` and ``soak`` take."""
+        p.add_argument(
+            "--shards",
+            type=int,
+            default=1,
+            help="metadata shards (redbud systems only; default "
+            "%(default)s, the single MDS); in check and soak >1 adds "
+            "shard-aware nemesis clauses and the cross-shard "
+            "disjointness oracle",
+        )
+        p.add_argument(
+            "--replication",
+            choices=("none", "mirror3", "block4-2"),
+            default="none",
+            help="replicated storage group arrangement (redbud systems "
+            "only; default %(default)s, the unreplicated array); "
+            "mirror3/block4-2 arm CURP witnesses and, in check and "
+            "soak, the disk-loss nemesis and the replica oracles",
+        )
+        p.add_argument(
+            "--seed-bug",
+            choices=("none", "dedup", "degrade"),
+            default="none",
+            help="deliberately plant a bug (self-tests; redbud systems "
+            "only): 'dedup' disables the MDS commit dedup table, "
+            "'degrade' suppresses the delayed->sync reversion so "
+            "clients stay degraded after faults heal",
+        )
+
     p_run = sub.add_parser("run", help="run one workload on one system")
     common(p_run)
     p_run.add_argument("--system", choices=SYSTEMS, default="redbud-delayed")
@@ -1178,22 +1184,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="also record a causal trace (Chrome trace_event JSON)",
     )
-    p_run.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="metadata shards (redbud systems only; default "
-        "%(default)s, which is byte-identical to the single MDS)",
-    )
-    p_run.add_argument(
-        "--replication",
-        choices=("none", "mirror3", "block4-2"),
-        default="none",
-        help="replicated storage group arrangement (redbud systems "
-        "only; default %(default)s, which is byte-identical to the "
-        "unreplicated array). mirror3/block4-2 also arm CURP "
-        "witnesses on the delayed/unordered commit paths",
-    )
+    cluster_flags(p_run)
     p_run.add_argument(
         "--faults",
         metavar="SPEC",
@@ -1240,15 +1231,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="after the run (and settling), run fsck + the full "
         "invariant suite (safety + convergence); exit nonzero on any "
         "violation (redbud systems only)",
-    )
-    p_run.add_argument(
-        "--seed-bug",
-        choices=("none", "dedup", "degrade"),
-        default="none",
-        help="deliberately plant a bug before running (self-tests; "
-        "redbud systems only): 'dedup' disables the MDS commit dedup "
-        "table, 'degrade' suppresses the delayed->sync reversion so "
-        "clients stay degraded after faults heal",
     )
     p_run.set_defaults(func=cmd_run)
 
@@ -1373,11 +1355,7 @@ def build_parser() -> argparse.ArgumentParser:
         "crash", help="crash + recover + judge with the crash oracle"
     )
     common(p_crash)
-    p_crash.add_argument(
-        "--mode",
-        choices=("synchronous", "delayed", "unordered"),
-        default="delayed",
-    )
+    p_crash.add_argument("--mode", choices=COMMIT_MODES, default="delayed")
     p_crash.add_argument(
         "--at", type=float, default=0.3, help="crash after this many seconds"
     )
@@ -1396,26 +1374,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--clients", type=int, default=3)
-    p_check.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="metadata shards for every explored cluster (default "
-        "%(default)s); >1 adds shard-aware nemesis clauses and the "
-        "cross-shard disjointness oracle",
-    )
-    p_check.add_argument(
-        "--replication",
-        choices=("none", "mirror3", "block4-2"),
-        default="none",
-        help="replicated storage group for every explored cluster "
-        "(default %(default)s); mirror3/block4-2 add disk-loss "
-        "nemesis clauses, CURP witnesses, and the replica-divergence "
-        "oracle",
-    )
+    cluster_flags(p_check)
     p_check.add_argument(
         "--mode",
-        choices=("synchronous", "delayed", "unordered"),
+        choices=COMMIT_MODES,
         default="delayed",
         help="commit-protocol scope to check (unordered is the "
         "deliberately broken control)",
@@ -1425,14 +1387,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=3,
         help="failures to shrink (default %(default)s)",
-    )
-    p_check.add_argument(
-        "--seed-bug",
-        choices=("none", "dedup", "degrade"),
-        default="none",
-        help="deliberately seed a bug (self-test): 'dedup' disables "
-        "the MDS commit dedup table, 'degrade' suppresses the "
-        "delayed->sync reversion",
     )
     p_check.add_argument(
         "--out", metavar="PATH", help="write the JSON report here"
@@ -1462,29 +1416,7 @@ def build_parser() -> argparse.ArgumentParser:
         "one action per ~30 virtual seconds)",
     )
     p_soak.add_argument("--clients", type=int, default=4)
-    p_soak.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="metadata shards; >1 adds shard-partition and "
-        "shard-targeted restart nemesis families",
-    )
-    p_soak.add_argument(
-        "--replication",
-        choices=("none", "mirror3", "block4-2"),
-        default="none",
-        help="replicated storage group; mirror3/block4-2 add the "
-        "disk-loss/readmit nemesis family and the re-silvering "
-        "liveness oracle",
-    )
-    p_soak.add_argument(
-        "--seed-bug",
-        choices=("none", "dedup", "degrade"),
-        default="none",
-        help="deliberately plant a bug (self-test): 'degrade' "
-        "suppresses the delayed->sync reversion, which only the "
-        "liveness oracles can see",
-    )
+    cluster_flags(p_soak)
     p_soak.add_argument(
         "--out",
         metavar="PATH",

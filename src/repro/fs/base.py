@@ -5,6 +5,10 @@ benchmark harness: build from a :class:`~repro.fs.config.ClusterConfig`,
 then :meth:`BaseCluster.run_workload` a personality for a fixed virtual
 duration.  The harness handles the setup phase (excluded from metrics),
 the warmup boundary, per-client thread spawning, and result assembly.
+:meth:`BaseCluster.start_workload` is its open-ended twin, for the
+crash, check and soak harnesses that stop the load at an instant of
+their own choosing.  Both drivers loop bare ``op`` calls: a personality
+paces itself inside ``op``, and no driver calls ``think``.
 """
 
 from __future__ import annotations
@@ -53,6 +57,20 @@ class RunResult:
         return self.ops_per_second / baseline.ops_per_second
 
 
+@dataclass
+class WorkloadRun:
+    """Handle on an open-ended run from :meth:`BaseCluster.start_workload`."""
+
+    contexts: _t.List[WorkloadContext]
+    #: One setup process per context, in client order.
+    setups: _t.List[_t.Any]
+    stopped: bool = False
+
+    def stop(self) -> None:
+        """End every op loop at its next iteration boundary."""
+        self.stopped = True
+
+
 class BaseCluster:
     """Common machinery: thread spawning, measurement windows, results."""
 
@@ -73,7 +91,7 @@ class BaseCluster:
         self.obs = obs
         if obs is not None:
             obs.attach(env)
-        #: True once ``run_workload``'s setup barrier has passed.  Fault
+        #: True once a driver's setup barrier has passed.  Fault
         #: injection reads this to defer client deaths out of the setup
         #: phase (a dead client would park its setup process and hang
         #: the all-of barrier forever).
@@ -135,35 +153,9 @@ class BaseCluster:
                 f"num_clients={self.num_clients}): it synchronises "
                 "across all clients"
             )
-        shared: _t.Dict[str, _t.Any] = {}
-        # One context per *personality*, always: under aggregation the
-        # personalities keep their own RNG substreams, metrics and
-        # private state and only share a node's endpoint (personality p
-        # lives on node p % nodes -- the identity map when not
-        # aggregated).  See ``repro.workloads.aggregate``.
-        contexts = [
-            WorkloadContext(
-                env=env,
-                fs=self.client_fs(i % nodes),
-                rng=self.root_rng.stream("workload", i),
-                client_index=i,
-                num_clients=self.num_clients,
-                metrics=OpMetrics(),
-                shared=shared,
-            )
-            for i in range(self.num_clients)
-        ]
-
-        setups = [
-            env.process(
-                workload.setup(ctx), name=f"setup-{ctx.client_index}"
-            )
-            for ctx in contexts
-        ]
+        contexts, setups = self._launch(workload, "workload")
         env.run(until=env.all_of(setups))
-        self.setup_complete = True
-        for ctx in contexts:
-            ctx.in_setup = False
+        self._leave_setup(contexts)
 
         measure_start = env.now + warmup
         deadline = measure_start + duration
@@ -220,3 +212,72 @@ class BaseCluster:
             metrics=metrics,
             extras=self.collect_extras(),
         )
+
+    def start_workload(self, workload: Workload) -> WorkloadRun:
+        """Start ``workload`` open-ended and return its handle.
+
+        Builds the contexts (RNG substreams ``("wl", i)``) and spawns
+        the setups; a driver process waits for every setup, leaves the
+        setup phase, then loops ``workload.op`` on every thread until
+        :meth:`WorkloadRun.stop`.  Nothing runs until the caller
+        advances ``env``: ``env.run(until=env.all_of(run.setups))``
+        runs exactly the setup phase.
+        """
+        env = self.env
+        contexts, setups = self._launch(workload, "wl")
+        run = WorkloadRun(contexts, setups)
+
+        def loop(ctx: WorkloadContext, tid: int) -> _t.Generator:
+            while not run.stopped:
+                yield from workload.op(ctx, tid)
+
+        def driver() -> _t.Generator:
+            yield env.all_of(setups)
+            self._leave_setup(contexts)
+            for ctx in contexts:
+                for tid in range(workload.threads_per_client):
+                    env.process(
+                        loop(ctx, tid),
+                        name=f"op-c{ctx.client_index}-t{tid}",
+                    )
+
+        env.process(driver(), name="workload-driver")
+        return run
+
+    def _launch(
+        self, workload: Workload, label: str
+    ) -> _t.Tuple[_t.List[WorkloadContext], _t.List[_t.Any]]:
+        """One context per personality, RNG substream ``(label, i)``,
+        and its spawned setup process.
+
+        Under aggregation the personalities keep their own RNG
+        substreams, metrics and private state and only share a node's
+        endpoint (personality p lives on node p % nodes -- the identity
+        map when not aggregated).  See ``repro.workloads.aggregate``.
+        """
+        nodes = self.num_client_nodes
+        shared: _t.Dict[str, _t.Any] = {}
+        contexts = [
+            WorkloadContext(
+                env=self.env,
+                fs=self.client_fs(i % nodes),
+                rng=self.root_rng.stream(label, i),
+                client_index=i,
+                num_clients=self.num_clients,
+                metrics=OpMetrics(),
+                shared=shared,
+            )
+            for i in range(self.num_clients)
+        ]
+        setups = [
+            self.env.process(
+                workload.setup(ctx), name=f"setup-{ctx.client_index}"
+            )
+            for ctx in contexts
+        ]
+        return contexts, setups
+
+    def _leave_setup(self, contexts: _t.List[WorkloadContext]) -> None:
+        self.setup_complete = True
+        for ctx in contexts:
+            ctx.in_setup = False

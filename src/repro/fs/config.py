@@ -13,6 +13,7 @@ import typing as _t
 from dataclasses import dataclass, field
 
 from repro.core.compound import CompoundPolicy
+from repro.core.protocol import COMMIT_MODES
 from repro.core.thread_pool import ThreadPoolPolicy
 from repro.mds.server import MdsParameters
 from repro.net.rpc import RetryPolicy
@@ -118,7 +119,7 @@ class ClusterConfig:
                 f"client_processes must be in [1, num_clients="
                 f"{self.num_clients}], got {self.client_processes}"
             )
-        if self.commit_mode not in ("synchronous", "delayed", "unordered"):
+        if self.commit_mode not in COMMIT_MODES:
             raise ValueError(f"unknown commit_mode {self.commit_mode!r}")
         if self.space_delegation and self.commit_mode == "synchronous":
             # The paper evaluates delegation only on top of delayed

@@ -6,7 +6,8 @@ A workload personality defines, per client:
   measurement starts; setup time is excluded from the metrics;
 - :meth:`Workload.op` -- one logical operation iteration (possibly a
   multi-step flowlet like varmail's create-write-fsync); the runner loops
-  it on every application thread until the measurement deadline.
+  it on every application thread until the measurement deadline (or,
+  open-ended, until stopped).
 
 Cross-client coordination (the shared file registry readers draw from,
 NPB's barrier) happens through :attr:`WorkloadContext.shared`, a dict the
@@ -104,7 +105,12 @@ class Workload:
         raise NotImplementedError
 
     def think(self, ctx: WorkloadContext) -> _t.Generator:
-        """Inter-op computation time (the app's own work)."""
+        """Inter-op computation time (the app's own work).
+
+        A personality paces itself inside ``op`` (xcdn, filebench and
+        the check mix end ``op`` with ``yield from self.think(ctx)``):
+        no driver calls ``think``.
+        """
         if self.think_time > 0:
             yield ctx.env.timeout(ctx.rng.exponential(self.think_time))
 

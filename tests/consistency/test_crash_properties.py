@@ -8,11 +8,9 @@ metadata, and recovery always rebalances the allocator.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.metrics import OpMetrics
 from repro.consistency import check_ordered_writes, crash_cluster, recover
 from repro.fs import ClusterConfig, RedbudCluster
 from repro.workloads import XcdnWorkload
-from repro.workloads.spec import WorkloadContext
 
 
 def launch(commit_mode, seed, delegation):
@@ -22,33 +20,11 @@ def launch(commit_mode, seed, delegation):
         space_delegation=delegation,
     )
     cluster = RedbudCluster(config, seed=seed)
-    env = cluster.env
     workload = XcdnWorkload(
         file_size=32 * 1024, seed_files_per_client=4, threads_per_client=2
     )
-    shared = {}
-    contexts = [
-        WorkloadContext(
-            env=env,
-            fs=cluster.clients[i],
-            rng=cluster.root_rng.stream("wl", i),
-            client_index=i,
-            num_clients=2,
-            metrics=OpMetrics(),
-            shared=shared,
-        )
-        for i in range(2)
-    ]
-    setups = [env.process(workload.setup(ctx)) for ctx in contexts]
-    env.run(until=env.all_of(setups))
-
-    def forever(ctx, tid):
-        while True:
-            yield from workload.op(ctx, tid)
-
-    for ctx in contexts:
-        for tid in range(workload.threads_per_client):
-            env.process(forever(ctx, tid))
+    run = cluster.start_workload(workload)
+    cluster.env.run(until=cluster.env.all_of(run.setups))
     return cluster
 
 

@@ -25,32 +25,8 @@ def run_and_crash(commit_mode, crash_after, seed=3, delegation=False):
     )
     # Launch the workload but crash mid-flight instead of running out.
     env = cluster.env
-    shared = {}
-    from repro.analysis.metrics import OpMetrics
-    from repro.workloads.spec import WorkloadContext
-
-    contexts = [
-        WorkloadContext(
-            env=env,
-            fs=cluster.clients[i],
-            rng=cluster.root_rng.stream("wl", i),
-            client_index=i,
-            num_clients=3,
-            metrics=OpMetrics(),
-            shared=shared,
-        )
-        for i in range(3)
-    ]
-    setups = [env.process(workload.setup(ctx)) for ctx in contexts]
-    env.run(until=env.all_of(setups))
-
-    def forever(ctx, tid):
-        while True:
-            yield from workload.op(ctx, tid)
-
-    for ctx in contexts:
-        for tid in range(workload.threads_per_client):
-            env.process(forever(ctx, tid))
+    run = cluster.start_workload(workload)
+    env.run(until=env.all_of(run.setups))
 
     state = crash_cluster(cluster, at_time=env.now + crash_after)
     return cluster, state

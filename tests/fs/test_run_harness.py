@@ -100,3 +100,28 @@ def test_xcdn_cache_recommendation_applied():
         cluster.clients[0].cache.capacity
         == wl.recommended_cache_capacity
     )
+
+
+def test_open_ended_run_leaves_setup():
+    """After ``start_workload``'s setups, files xcdn creates at run time
+    stay out of the seed corpus ``pick_file(seeds_only=True)`` draws
+    from, and fault injection sees the setup phase as over."""
+    cluster = RedbudCluster(
+        ClusterConfig(
+            num_clients=2, commit_mode="delayed", space_delegation=True
+        ),
+        seed=11,
+    )
+    run = cluster.start_workload(
+        XcdnWorkload(file_size=32 * 1024, seed_files_per_client=25)
+    )
+    env = cluster.env
+    env.run(until=env.all_of(run.setups))
+    seeds = Workload.seed_registry(run.contexts[0])
+    assert len(seeds) == 50
+    env.run(until=env.now + 0.3)
+    assert len(seeds) == 50
+    assert cluster.setup_complete
+    assert not any(ctx.in_setup for ctx in run.contexts)
+    assert len(Workload.registry(run.contexts[0])) > 50
+    run.stop()

@@ -1,13 +1,17 @@
-"""Golden blktrace digests and the one recipe that reproduces them.
+"""Golden digests and the recipes that reproduce them.
 
-A digest is the sha256 over ``repr()`` of every blktrace row of a
-fixed-seed run.  Each table below was captured once, on the tree named
+A blktrace digest is the sha256 over ``repr()`` of every blktrace row of
+a fixed-seed run; a report digest is the sha256 over a check or soak
+report's JSON.  Each table below was captured once, on the tree named
 in its comment, and is only ever copied: drift in any of them means a
 change altered scheduling order or RNG draws.
 """
 
 import hashlib
+import json
 
+from repro.check import explore
+from repro.check.soak import run_soak
 from repro.fs.factory import build_cluster
 from repro.workloads.filebench import FileserverWorkload, VarmailWorkload
 from repro.workloads.xcdn import XcdnWorkload
@@ -89,6 +93,49 @@ PAPER_CELLS = {
         128309,
     ),
 }
+
+
+#: ``REPORTS`` recipes, captured on the tree whose explorer, soak and
+#: crash launchers each still hand-rolled their own open-ended driver:
+#: name -> digest.
+REPORT_GOLDEN = {
+    "check-budget16": (
+        "3354e85412fb6849bb75739abdba3eae549a0be6087e8ea32231e28b83a9bedc"
+    ),
+    "check-budget16-shards2": (
+        "701e1f24b253a79e6fdacf0d70290172b6959e1c199a7d4b06c79a6c3e3f8092"
+    ),
+    "soak-0.25h": (
+        "c4b5d3e9f6caab85b37281a05feb6bfba6ce6963f4a73665ce74853d6d5f1668"
+    ),
+}
+
+
+def _check_report(**scope):
+    return json.dumps(
+        explore(budget=16, seed=0, **scope).as_dict(), sort_keys=True
+    )
+
+
+def _soak_stream():
+    lines = []
+    run_soak(
+        0.25, seed=0,
+        emit=lambda entry: lines.append(json.dumps(entry, sort_keys=True)),
+    )
+    return "\n".join(lines)
+
+
+#: Report recipes by name: each returns the report text digested.
+REPORTS = {
+    "check-budget16": _check_report,
+    "check-budget16-shards2": lambda: _check_report(shards=2),
+    "soak-0.25h": _soak_stream,
+}
+
+
+def report_digest(name):
+    return hashlib.sha256(REPORTS[name]().encode()).hexdigest()
 
 
 def run_cell(system, workload, *, num_clients, duration, warmup, **config):
