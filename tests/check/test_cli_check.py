@@ -73,7 +73,16 @@ def test_run_check_flag_rejects_non_redbud(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("flag", [["--check"], ["--seed-bug", "dedup"]])
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["run", "--system", "nfs3", "--duration", "4", "--check"],
+        ["run", "--system", "nfs3", "--duration", "4",
+         "--seed-bug", "dedup"],
+        ["slo", "--systems", "nfs3", "--shards", "2"],
+        ["slo", "--systems", "nfs3", "--faults", "loss=0.1"],
+    ],
+)
 def test_run_refuses_redbud_only_flags_before_building(
     flag, capsys, monkeypatch
 ):
@@ -83,7 +92,7 @@ def test_run_refuses_redbud_only_flags_before_building(
         raise AssertionError("build_cluster ran before the flag check")
 
     monkeypatch.setattr(repro.cli, "build_cluster", never)
-    code = main(["run", "--system", "nfs3", "--duration", "4"] + flag)
+    code = main(flag)
     assert code == 2
     assert "redbud systems only" in capsys.readouterr().err
 
