@@ -20,9 +20,8 @@ Run::
     python examples/slo_report.py
 """
 
-from repro.faults import FaultInjector, FaultSpec
-from repro.fs import ClusterConfig, RedbudCluster
-from repro.net.rpc import RetryPolicy
+from repro.faults import FaultSpec
+from repro.fs import ClusterConfig, build_cluster
 from repro.obs import (
     Instrumentation,
     SloSpec,
@@ -42,13 +41,11 @@ SLO = "write:p99<=0.05,create:p99<=0.05,*:p999<=0.5"
 
 def main() -> None:
     obs = Instrumentation()
-    config = (
-        ClusterConfig.delayed_commit(num_clients=3, retry=RetryPolicy())
-        .with_shards(2)
-    )
-    cluster = RedbudCluster(config, seed=11, obs=obs)
-    injector = FaultInjector(
-        cluster, FaultSpec.parse("mds_restart@0.6:0.2:shard=1")
+    cluster = build_cluster(
+        ClusterConfig.delayed_commit(num_clients=3).with_shards(2),
+        seed=11,
+        obs=obs,
+        faults=FaultSpec.parse("mds_restart@0.6:0.2:shard=1"),
     )
 
     print("=== xcdn on 2 metadata shards, shard 1 restarts at t=0.6 ===")
@@ -56,7 +53,7 @@ def main() -> None:
         XcdnWorkload(file_size=32 * 1024, seed_files_per_client=15),
         duration=2.0,
     )
-    injector.stop()
+    cluster.injector.stop()
     cluster.settle()
 
     print(f"\n{result.ops_per_second:,.0f} ops/s; op latency tails:")

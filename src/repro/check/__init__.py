@@ -28,7 +28,6 @@ from repro.check.soak import (
     SoakWorkload,
     judge_converged,
     run_soak,
-    seed_bug_tweak,
 )
 from repro.check.transitions import (
     COUNTER_METRICS,
@@ -58,6 +57,5 @@ __all__ = [
     "run_schedule",
     "run_soak",
     "schedule_events",
-    "seed_bug_tweak",
     "transition_times",
 ]

@@ -10,7 +10,8 @@
 - :class:`Pvfs2Cluster` -- the PVFS2 baseline: striped data servers, no
   client cache, synchronous write-through; strong at MPI-style large
   parallel I/O, weak at small-file updates.
-- :func:`build_cluster` -- factory mapping a system name to an assembly.
+- :func:`build_cluster` -- the one builder: a system name or a ready
+  config, plus faults and a planted bug, becomes an armed assembly.
 """
 
 from repro.fs.config import ClusterConfig

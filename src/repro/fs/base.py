@@ -96,6 +96,9 @@ class BaseCluster:
         #: phase (a dead client would park its setup process and hang
         #: the all-of barrier forever).
         self.setup_complete = False
+        #: The :class:`~repro.faults.injector.FaultInjector`
+        #: ``build_cluster`` attached, or None.
+        self.injector: _t.Optional[_t.Any] = None
 
     # -- subclass surface ------------------------------------------------------
 

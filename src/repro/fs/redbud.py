@@ -14,8 +14,10 @@ With ``shards > 1`` the cluster builds a
 namespace partition, a disjoint volume slice with its own allocation
 groups, its own RPC port/daemon pool/dedup cache/lease GC, and clients
 route per-file state (commit batches, delegated space, fence
-generations) to the owning shard.  ``shards=1`` takes the exact legacy
-construction path and is byte-identical to the single-MDS code.
+generations) to the owning shard.  ``shards=1`` is the one-shard case
+of the same construction; only its allocator RNG stream keeps the
+unsuffixed ``"alloc"`` name, so its block trace matches the single-MDS
+golden digests.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from repro.mds.sharding import (
     ShardRoutingTransport,
 )
 from repro.net.link import Link
-from repro.net.rpc import RpcClient, RpcServerPort, RpcTransport
+from repro.net.rpc import RpcClient, RpcServerPort
 from repro.sim import Environment
 from repro.storage.blockdev import BlockDevice
 from repro.storage.blktrace import BlkTrace
@@ -71,41 +73,33 @@ class RedbudCluster(BaseCluster):
             trace=self.blktrace,
         )
         self.router = ShardRouter(num_shards)
-        if num_shards == 1:
-            # Legacy single-MDS construction: identical stream names and
-            # object shapes, so the blktrace is byte-identical to the
-            # pre-sharding code (a golden test holds this line).
-            namespaces = [Namespace()]
-            spaces = [
-                SpaceManager(
-                    volume_size=config.disk.volume_size,
-                    num_groups=config.num_allocation_groups,
-                    strategy=config.ag_strategy,
-                    rng=self.root_rng.stream("alloc"),
-                )
-            ]
-        else:
-            slice_size = config.disk.volume_size // num_shards
-            namespaces = [
-                Namespace(first_id=k + 1, id_step=num_shards)
-                for k in range(num_shards)
-            ]
-            spaces = [
-                SpaceManager(
-                    volume_size=slice_size,
-                    num_groups=config.num_allocation_groups,
-                    strategy=config.ag_strategy,
-                    rng=self.root_rng.stream("alloc", k),
-                    base_offset=k * slice_size,
-                )
-                for k in range(num_shards)
-            ]
-            self.array.configure_shards(num_shards, slice_size)
+        # Shard k owns every num_shards-th file id and the k-th volume
+        # slice.  The paper's one MDS is the one-shard case; its
+        # allocator keeps the unsuffixed ``"alloc"`` stream, so its
+        # blktrace matches the single-MDS golden digests.
+        slice_size = config.disk.volume_size // num_shards
+        namespaces = [
+            Namespace(first_id=k + 1, id_step=num_shards)
+            for k in range(num_shards)
+        ]
+        spaces = [
+            SpaceManager(
+                volume_size=slice_size,
+                num_groups=config.num_allocation_groups,
+                strategy=config.ag_strategy,
+                rng=self.root_rng.stream(
+                    *(("alloc", k) if num_shards > 1 else ("alloc",))
+                ),
+                base_offset=k * slice_size,
+            )
+            for k in range(num_shards)
+        ]
+        self.array.configure_shards(num_shards, slice_size)
 
         # Replicated storage group + CURP witnesses (strictly opt-in:
         # ``replication="none"`` builds neither, touches no RNG stream,
         # and keeps the blktrace byte-identical -- a golden test holds
-        # this line like the ``shards=1`` one above).
+        # this line).
         self.group = None
         self.witnesses = None
         if config.replication != "none":
@@ -152,18 +146,12 @@ class RedbudCluster(BaseCluster):
             )
             self.uplinks.append(uplink)
             downlinks[cid] = downlink
-            if num_shards == 1:
-                transport: _t.Any = RpcTransport(
-                    env, uplink, downlink, self.ports[0]
-                )
-            else:
-                transport = ShardRoutingTransport(
-                    env, uplink, downlink, self.ports, self.router
-                )
             rpc = RpcClient(
                 env,
                 cid,
-                transport,
+                ShardRoutingTransport(
+                    env, uplink, downlink, self.ports, self.router
+                ),
                 retry=config.retry,
                 retry_rng=(
                     self.root_rng.stream("rpc-retry", cid)

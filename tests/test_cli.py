@@ -229,6 +229,13 @@ def test_crash_command_delayed_consistent(capsys):
     assert "recovery reclaimed" in out
 
 
+def test_crash_refuses_duration():
+    # `crash` stops at --at; a --duration it would ignore is refused.
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(["crash", "--duration", "1"])
+    assert excinfo.value.code == 2
+
+
 def test_run_command_with_aggregate_processes(capsys):
     code = main(
         [
