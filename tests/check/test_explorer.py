@@ -95,10 +95,7 @@ def test_seeded_dedup_bug_found_shrunk_and_replayable():
     now broken), explore, and the harness must find it, shrink it to a
     <=3-clause schedule, and that minimal schedule must replay."""
 
-    def tweak(cluster):
-        cluster.mds.commit_dedup_enabled = False
-
-    report = explore(budget=60, seed=0, tweak=tweak)
+    report = explore(budget=60, seed=0, seed_bug="dedup")
     assert report.failures > 0
     assert report.counterexamples
     ce = report.counterexamples[0]
@@ -110,7 +107,7 @@ def test_seeded_dedup_bug_found_shrunk_and_replayable():
         FaultSpec.parse(ce.minimal),
         seed=ce.seed,
         clients=ce.clients,
-        tweak=tweak,
+        seed_bug="dedup",
     )
     assert not replay.verdict.ok
     assert "double-apply" in replay.verdict.kinds()

@@ -58,3 +58,10 @@ def test_build_redbud_variants():
 def test_build_baselines():
     assert isinstance(build_cluster("nfs3", num_clients=2), Nfs3Cluster)
     assert isinstance(build_cluster("pvfs2", num_clients=2), Pvfs2Cluster)
+
+
+def test_ready_config_refuses_a_contradicting_client_count():
+    config = ClusterConfig(num_clients=3)
+    assert build_cluster(config, num_clients=3).num_clients == 3
+    with pytest.raises(TypeError):
+        build_cluster(config, num_clients=7)
