@@ -8,8 +8,9 @@ and is only ever copied: drift in any of them means a change altered
 scheduling order or RNG draws.
 
 ``PYTHONPATH=src python -m tests.golden NAME...`` prints the digest of
-each named ``REPORTS`` recipe, so a pin is captured on a checkout of the
-tree it names with one command.
+each named ``REPORTS`` recipe, and the blktrace digest and scheduled
+events of each named ``TRACES`` run, so a pin is captured on a checkout
+of the tree it names with one command.
 """
 
 import contextlib
@@ -21,7 +22,11 @@ import sys
 from repro.check import explore
 from repro.check.soak import run_soak
 from repro.fs.factory import build_cluster
-from repro.workloads.filebench import FileserverWorkload, VarmailWorkload
+from repro.workloads.filebench import (
+    FileserverWorkload,
+    VarmailWorkload,
+    WebproxyWorkload,
+)
 from repro.workloads.xcdn import XcdnWorkload
 
 #: Workload recipes by name (a fresh instance per run).
@@ -42,6 +47,11 @@ WORKLOADS = {
         file_size=32 * 1024, seed_files_per_client=200
     ),
     "fileserver-paper": lambda: FileserverWorkload(seed_files_per_client=100),
+    "webproxy": lambda: WebproxyWorkload(seed_files_per_client=15),
+    # ``perf/``'s scale-cell personality.
+    "xcdn-32K-scale": lambda: XcdnWorkload(
+        file_size=32 * 1024, seed_files_per_client=2, threads_per_client=2
+    ),
 }
 
 #: Run shapes; every golden run uses seed 11.
@@ -99,6 +109,39 @@ PAPER_CELLS = {
         "fileserver-paper",
         "21e8c535d541b74dae49ea1c5918c7709c7f90a181286e95b667a112914de755",
         128309,
+    ),
+}
+
+#: Runs through the shared file registry that no table above covers:
+#: remote picks over an aggregated namespace, and webproxy's own-file
+#: deletes.  name -> (system, workload, run shape plus config).
+TRACES = {
+    "xcdn-aggregate-1k": (
+        "redbud-delayed",
+        "xcdn-32K-scale",
+        {
+            "num_clients": 1000, "duration": 0.3, "warmup": 0.05,
+            "client_processes": 8, "delegation_chunk": 1024 * 1024,
+        },
+    ),
+    "webproxy-delayed": ("redbud-delayed", "webproxy", LEGACY_CELL),
+    "webproxy-original": ("redbud-original", "webproxy", LEGACY_CELL),
+}
+
+#: ``TRACES`` runs, captured on the tree whose registry was two plain
+#: lists every pick and delete scanned: name -> (digest, scheduled_events).
+TRACE_GOLDEN = {
+    "xcdn-aggregate-1k": (
+        "c96bc1a7321791b8fdca22332beb0e16e5e3c5edc1c121eba6e600e569c4d015",
+        108054,
+    ),
+    "webproxy-delayed": (
+        "7241be7616862dd5910bd822dc80665fe095e3d7ab16724e70850609491402e2",
+        19757,
+    ),
+    "webproxy-original": (
+        "6ca3e741b5c91552d32a6cb3ae7ddda01b29c421254882aa85391e594d7fd3c9",
+        17388,
     ),
 }
 
@@ -203,6 +246,16 @@ def trace_digest(system, workload, **cell):
     return blktrace_digest(run_cell(system, workload, **cell))
 
 
+def trace_pin(name):
+    """``(digest, scheduled_events)`` of the ``TRACES`` run ``name``."""
+    system, workload, cell = TRACES[name]
+    cluster = run_cell(system, workload, **cell)
+    return blktrace_digest(cluster), cluster.env.scheduled_events
+
+
 if __name__ == "__main__":
     for name in sys.argv[1:]:
-        print(name, report_digest(name))
+        if name in TRACES:
+            print(name, *trace_pin(name))
+        else:
+            print(name, report_digest(name))
