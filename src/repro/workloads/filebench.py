@@ -105,9 +105,7 @@ class FileserverWorkload(Workload):
         )
 
     def _delete(self, ctx: WorkloadContext) -> _t.Generator:
-        mine = [
-            e for e in self.registry(ctx) if e[0] == ctx.client_index
-        ]
+        mine = self.registry(ctx).own(ctx.client_index)
         if not mine:
             return
         entry = ctx.rng.choice(mine)
@@ -166,15 +164,9 @@ class VarmailWorkload(Workload):
         yield from self.think(ctx)
 
     def _delete_one(self, ctx: WorkloadContext) -> _t.Generator:
-        registry = self.registry(ctx)
         # Only reap runtime mail; the seeded corpus stands in for the
         # huge long-lived mail store and must survive.
-        seeds = set(id(e) for e in self.seed_registry(ctx))
-        mine = [
-            e
-            for e in registry
-            if e[0] == ctx.client_index and id(e) not in seeds
-        ]
+        mine = self.registry(ctx).own(ctx.client_index, runtime_only=True)
         if len(mine) <= self.seed_files_per_client // 2:
             return  # keep the mailbox from draining
         entry = ctx.rng.choice(mine)
@@ -263,12 +255,7 @@ class WebproxyWorkload(Workload):
     def op(self, ctx: WorkloadContext, thread_id: int) -> _t.Generator:
         # Replace one cache entry (runtime objects only; the seed corpus
         # models the long tail and persists).
-        seeds = set(id(e) for e in self.seed_registry(ctx))
-        mine = [
-            e
-            for e in self.registry(ctx)
-            if e[0] == ctx.client_index and id(e) not in seeds
-        ]
+        mine = self.registry(ctx).own(ctx.client_index, runtime_only=True)
         if len(mine) > self.seed_files_per_client:
             entry = ctx.rng.choice(mine)
             self.unregister_file(ctx, entry)
