@@ -25,7 +25,8 @@ class FsckReport:
     committed_bytes: int = 0
     free_bytes: int = 0
     uncommitted_bytes: int = 0
-    #: Volume ranges the allocator thinks are free but metadata claims.
+    #: Volume ranges claimed twice: free in the allocator's books but
+    #: claimed by metadata, or held uncommitted by two clients.
     lost_claimed: _t.List[_t.Tuple[int, int]] = field(default_factory=list)
     #: Volume bytes neither free nor committed nor tracked uncommitted.
     leaked_bytes: int = 0
@@ -59,9 +60,13 @@ def fsck(namespace: Namespace, space: SpaceManager) -> FsckReport:
             free.add(offset, offset + length)
     report.free_bytes = free.total()
 
+    # Clients hold disjoint uncommitted space: a commit retires its
+    # extent from the committing client's books alone.
     uncommitted = IntervalSet()
-    for client_id in list(space._uncommitted):
-        for start, end in space._uncommitted[client_id]:
+    for ranges in space._uncommitted.values():
+        for start, end in ranges:
+            for c_start, c_end in uncommitted.intersection(start, end):
+                report.lost_claimed.append((c_start, c_end - c_start))
             uncommitted.add(start, end)
     report.uncommitted_bytes = uncommitted.total()
 

@@ -10,8 +10,9 @@ stable set and size, and checks per shard:
 1. **Ordered writes** (``dangling-metadata``, ``extent-overlap``): every
    committed extent is stable, and no two claim the same bytes
    (:func:`repro.consistency.invariant.check_ordered_writes`).
-2. **fsck**, live rule: no free space under a committed extent.  A live
-   shard legitimately holds uncommitted (delegated) space.
+2. **fsck**, live rule: no free space under a committed extent, and no
+   byte held uncommitted by two clients.  A live shard legitimately
+   holds uncommitted (delegated) space.
 3. **Shard disjointness**: slices, extents and file-id ownership stay
    inside their shard (:func:`repro.mds.sharding.check_shard_disjointness`).
 4. **Exactly-once** (``double-apply``): no ``(client, op)`` commit is

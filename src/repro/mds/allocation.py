@@ -328,11 +328,21 @@ class SpaceManager:
     def note_uncommitted(
         self, client_id: int, offset: int, length: int
     ) -> None:
-        self._uncommitted.setdefault(client_id, IntervalSet()).add(
-            offset, offset + length
-        )
+        ranges = self._uncommitted.get(client_id)
+        if ranges is None:
+            ranges = self._uncommitted[client_id] = IntervalSet()
+        ranges.add(offset, offset + length)
 
-    def note_committed(self, offset: int, length: int) -> None:
+    def note_committed(
+        self, offset: int, length: int, client_id: _t.Optional[int] = None
+    ) -> None:
+        """Retire a committed range from the uncommitted books: from
+        ``client_id``'s alone when it holds the range (clients hold
+        disjoint uncommitted space; ``fsck`` checks it), else from
+        every client's."""
+        if client_id is not None:
+            self._uncommitted[client_id].remove(offset, offset + length)
+            return
         for ranges in self._uncommitted.values():
             ranges.remove(offset, offset + length)
 

@@ -587,7 +587,7 @@ class MetadataServer:
             )
             for extent in applied:
                 self.space.note_committed(
-                    extent.volume_offset, extent.length
+                    extent.volume_offset, extent.length, client_id
                 )
             for offset, length in freed:
                 self.space.free(offset, length)

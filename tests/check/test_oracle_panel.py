@@ -89,3 +89,18 @@ def test_same_durable_state_same_verdict_on_both_paths(cluster, plant, kind):
     reloaded = judge_shards(_reloaded(cluster), stable, volume_size)
     assert reloaded.violations == live.violations
     assert {k for k, _ in live.violations} == ({kind} if kind else set())
+
+
+def test_range_held_uncommitted_by_two_clients_is_an_fsck_violation(cluster):
+    """Live state only: a reloaded shard rebuilds its space from the
+    committed namespace and has no uncommitted books to judge."""
+    space = cluster.metadata.shard(1).space
+    offset = space.alloc(4096, client_id=0)
+    space.note_uncommitted(1, offset, 4096)
+    verdict = judge_shards(
+        list(cluster.metadata),
+        cluster.array.stable,
+        cluster.config.disk.volume_size,
+    )
+    assert [kind for kind, _ in verdict.violations] == ["fsck"]
+    assert verdict.violations[0][1].endswith("[shard 1]")

@@ -60,6 +60,18 @@ def test_uncommitted_space_is_accounted_not_leaked():
     assert report.uncommitted_bytes == 4096
 
 
+def test_range_held_uncommitted_by_two_clients_detected():
+    """Clients hold disjoint uncommitted space; a byte held by two would
+    be retired from only one client's books when it commits."""
+    ns, sm = fresh()
+    off = sm.alloc(8192, client_id=0)
+    sm.alloc(4096, client_id=1)
+    sm.note_uncommitted(1, off + 4096, 8192)
+    report = fsck(ns, sm)
+    assert not report.clean
+    assert report.lost_claimed == [(off + 4096, 4096)]
+
+
 def test_rebuild_restores_exact_free_space():
     ns, sm = fresh()
     offsets = []

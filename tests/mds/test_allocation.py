@@ -265,6 +265,15 @@ def test_partial_commit_of_chunk():
     sm.check_invariants()
 
 
+def test_commit_retires_only_the_committing_clients_range():
+    sm = SpaceManager(volume_size=1 << 20, num_groups=1)
+    mine = sm.alloc_chunk(8192, client_id=1)
+    sm.alloc_chunk(8192, client_id=2)
+    sm.note_committed(mine.volume_offset, 4096, client_id=1)
+    assert sm.uncommitted_bytes(1) == 4096
+    assert sm.uncommitted_bytes(2) == 8192
+
+
 def test_space_manager_validation():
     with pytest.raises(ValueError):
         SpaceManager(volume_size=100, num_groups=0)
