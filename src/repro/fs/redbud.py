@@ -17,17 +17,21 @@ route per-file state (commit batches, delegated space, fence
 generations) to the owning shard.  ``shards=1`` is the one-shard case
 of the same construction; only its allocator RNG stream keeps the
 unsuffixed ``"alloc"`` name, so its block trace matches the single-MDS
-golden digests.
+golden digests.  Shard state comes from
+:func:`~repro.mds.sharding.build_shard_state` and each client node from
+:func:`build_client`, as on ``repro serve`` and ``repro smoke``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import typing as _t
 
 from repro.analysis.mergeratio import aggregate_merge_ratio
 from repro.analysis.timeseries import summarize_pool_samples
 from repro.client.client import RedbudClient
 from repro.core.delegation import DoubleSpacePool
+from repro.core.effects import Effects
 from repro.fs.base import BaseCluster, RunResult
 from repro.fs.config import ClusterConfig
 from repro.mds.allocation import SpaceManager
@@ -37,16 +41,63 @@ from repro.mds.sharding import (
     ShardedMetadataService,
     ShardRouter,
     ShardRoutingTransport,
+    build_shard_state,
 )
 from repro.net.link import Link
-from repro.net.rpc import RpcClient, RpcServerPort
+from repro.net.rpc import RpcClient, RpcServerPort, RpcTransport
 from repro.sim import Environment
 from repro.storage.blockdev import BlockDevice
 from repro.storage.blktrace import BlkTrace
 from repro.storage.cache import PageCache
 from repro.storage.disk import DiskArray
+from repro.util.rng import StreamRNG
 
-__all__ = ["RedbudCluster", "RunResult"]
+__all__ = ["RedbudCluster", "RunResult", "build_client"]
+
+
+def build_client(
+    env: Effects, config: ClusterConfig, client_id: int, transport: RpcTransport,
+    blockdev: _t.Any, router: ShardRouter, rng: StreamRNG,
+    witnesses: _t.Optional[_t.Any] = None,
+) -> RedbudClient:
+    """One Redbud client node as ``config`` describes it.
+
+    The node is the retrying RPC stub (jitter from ``rng``'s
+    ``("rpc-retry", client_id)`` stream), one delegation pool per shard
+    when space delegation is on, the page cache and the client itself,
+    routing per-file state with ``router``.  ``transport`` and
+    ``blockdev`` are the substrate's: simulated links and elevator, or
+    a live socket and volume file.
+    """
+    retry_rng = None
+    if config.retry is not None:
+        retry_rng = rng.stream("rpc-retry", client_id)
+    rpc = RpcClient(
+        env, client_id, transport, retry=config.retry, retry_rng=retry_rng
+    )
+    pools = None
+    if config.space_delegation:
+        chunk = config.delegation_chunk
+        pools = {k: DoubleSpacePool(chunk) for k in range(router.num_shards)}
+    return RedbudClient(
+        env,
+        client_id,
+        rpc,
+        blockdev,
+        cache=PageCache(capacity=config.client_cache_capacity),
+        commit_mode=config.commit_mode,
+        commit_queue_capacity=config.commit_queue_capacity,
+        thread_pool_policy=config.thread_pool,
+        compound_policy=config.compound,
+        fixed_compound_degree=config.fixed_compound_degree,
+        dirty_limit=config.dirty_limit,
+        degrade_after_timeouts=config.degrade_after_timeouts,
+        degrade_backlog=config.degrade_backlog,
+        delegation_pools=pools,
+        shard_of_file=router.shard_of_file,
+        num_shards=router.num_shards,
+        witnesses=witnesses,
+    )
 
 
 class RedbudCluster(BaseCluster):
@@ -73,28 +124,16 @@ class RedbudCluster(BaseCluster):
             trace=self.blktrace,
         )
         self.router = ShardRouter(num_shards)
-        # Shard k owns every num_shards-th file id and the k-th volume
-        # slice.  The paper's one MDS is the one-shard case; its
-        # allocator keeps the unsuffixed ``"alloc"`` stream, so its
-        # blktrace matches the single-MDS golden digests.
-        slice_size = config.disk.volume_size // num_shards
-        namespaces = [
-            Namespace(first_id=k + 1, id_step=num_shards)
-            for k in range(num_shards)
-        ]
-        spaces = [
-            SpaceManager(
-                volume_size=slice_size,
-                num_groups=config.num_allocation_groups,
-                strategy=config.ag_strategy,
-                rng=self.root_rng.stream(
-                    *(("alloc", k) if num_shards > 1 else ("alloc",))
-                ),
-                base_offset=k * slice_size,
+        states = [
+            build_shard_state(
+                k, num_shards, config.disk.volume_size,
+                config.num_allocation_groups, config.ag_strategy, self.root_rng,
             )
             for k in range(num_shards)
         ]
-        self.array.configure_shards(num_shards, slice_size)
+        self.array.configure_shards(
+            num_shards, config.disk.volume_size // num_shards
+        )
 
         # Replicated storage group + CURP witnesses (strictly opt-in:
         # ``replication="none"`` builds neither, touches no RNG stream,
@@ -129,79 +168,29 @@ class RedbudCluster(BaseCluster):
         self.downlinks = downlinks
         self.clients: _t.List[RedbudClient] = []
         self.uplinks: _t.List[Link] = []
+        link = dataclasses.asdict(config.link)
         for cid in range(config.client_nodes):
-            uplink = Link(
-                env,
-                bandwidth=config.link.bandwidth,
-                propagation=config.link.propagation,
-                per_message_overhead=config.link.per_message_overhead,
-                name=f"eth-up-{cid}",
-            )
-            downlink = Link(
-                env,
-                bandwidth=config.link.bandwidth,
-                propagation=config.link.propagation,
-                per_message_overhead=config.link.per_message_overhead,
-                name=f"eth-down-{cid}",
-            )
+            uplink = Link(env, name=f"eth-up-{cid}", **link)
+            downlink = Link(env, name=f"eth-down-{cid}", **link)
             self.uplinks.append(uplink)
             downlinks[cid] = downlink
-            rpc = RpcClient(
-                env,
-                cid,
-                ShardRoutingTransport(
-                    env, uplink, downlink, self.ports, self.router
-                ),
-                retry=config.retry,
-                retry_rng=(
-                    self.root_rng.stream("rpc-retry", cid)
-                    if config.retry is not None
-                    else None
-                ),
+            transport = ShardRoutingTransport(
+                env, uplink, downlink, self.ports, self.router
             )
-            delegation_pools = (
-                {
-                    k: DoubleSpacePool(chunk_size=config.delegation_chunk)
-                    for k in range(num_shards)
-                }
-                if config.space_delegation
-                else None
+            self.clients.append(
+                build_client(
+                    env, config, cid, transport,
+                    BlockDevice(env, cid, self.array),
+                    self.router, self.root_rng, witnesses=self.witnesses,
+                )
             )
-            client = RedbudClient(
-                env,
-                cid,
-                rpc,
-                BlockDevice(env, cid, self.array),
-                cache=PageCache(capacity=config.client_cache_capacity),
-                commit_mode=config.commit_mode,
-                delegation=(
-                    delegation_pools[0] if delegation_pools else None
-                ),
-                commit_queue_capacity=config.commit_queue_capacity,
-                thread_pool_policy=config.thread_pool,
-                compound_policy=config.compound,
-                fixed_compound_degree=config.fixed_compound_degree,
-                dirty_limit=config.dirty_limit,
-                degrade_after_timeouts=config.degrade_after_timeouts,
-                degrade_backlog=config.degrade_backlog,
-                delegation_pools=delegation_pools,
-                shard_of_file=self.router.shard_of_file,
-                num_shards=num_shards,
-                witnesses=self.witnesses,
-            )
-            self.clients.append(client)
 
         self.metadata = ShardedMetadataService(
             [
                 MetadataServer(
-                    env,
-                    config.mds,
-                    namespaces[k],
-                    spaces[k],
-                    self.ports[k],
-                    downlinks,
+                    env, config.mds, namespace, space, port, downlinks
                 )
-                for k in range(num_shards)
+                for (namespace, space), port in zip(states, self.ports)
             ],
             self.router,
         )

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import typing as _t
 
+from repro.mds.allocation import SpaceManager
+from repro.mds.namespace import Namespace
 from repro.mds.server import MetadataServer
 from repro.net.messages import (
     CommitPayload,
@@ -40,10 +42,9 @@ from repro.net.messages import (
 )
 from repro.net.rpc import RpcTransport
 from repro.util.intervals import IntervalSet
+from repro.util.rng import StreamRNG
 
 if _t.TYPE_CHECKING:  # pragma: no cover
-    from repro.mds.allocation import SpaceManager
-    from repro.mds.namespace import Namespace
     from repro.net.link import Link
     from repro.net.rpc import RpcServerPort
     from repro.core.effects import Effects
@@ -52,6 +53,7 @@ __all__ = [
     "ShardRouter",
     "ShardRoutingTransport",
     "ShardedMetadataService",
+    "build_shard_state",
     "check_shard_disjointness",
     "fnv1a_64",
 ]
@@ -151,6 +153,34 @@ class ShardRouter:
         raise TypeError(
             f"cannot route payload type {type(payload).__name__}"
         )
+
+
+def build_shard_state(
+    shard: int, shards: int, volume_size: int, num_groups: int, strategy: str,
+    rng: StreamRNG,
+) -> _t.Tuple[Namespace, SpaceManager]:
+    """Shard ``shard`` of ``shards``: its empty namespace and allocator.
+
+    The one place a shard's state is built: the simulated cluster, a
+    live ``repro serve`` shard and the smoke loader of its dump call it.
+    The namespace hands out the ids :meth:`ShardRouter.shard_of_file`
+    maps back to this shard; the allocator owns the shard's slice of a
+    ``volume_size``-byte volume in ``num_groups`` groups.  Its stream of
+    ``rng`` is ``("alloc", shard)``, except that the paper's one MDS
+    keeps the unsuffixed ``("alloc",)``.
+    """
+    slice_size = volume_size // shards
+    key = ("alloc", shard) if shards > 1 else ("alloc",)
+    return (
+        Namespace(first_id=shard + 1, id_step=shards),
+        SpaceManager(
+            volume_size=slice_size,
+            num_groups=num_groups,
+            strategy=strategy,
+            rng=rng.stream(*key),
+            base_offset=shard * slice_size,
+        ),
+    )
 
 
 class ShardRoutingTransport(RpcTransport):
@@ -310,7 +340,7 @@ class ShardedMetadataService:
 
 
 def check_shard_disjointness(
-    shards: _t.Sequence[_t.Tuple["Namespace", "SpaceManager"]],
+    shards: _t.Sequence[_t.Tuple[Namespace, SpaceManager]],
     volume_size: int,
 ) -> _t.List[str]:
     """The cross-shard invariant: shard state never overlaps.

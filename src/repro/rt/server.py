@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import typing as _t
 
-from repro.mds.allocation import SpaceManager
-from repro.mds.namespace import Namespace
 from repro.mds.server import MdsParameters, MetadataServer
+from repro.mds.sharding import build_shard_state
 from repro.net.messages import RpcMessage
 from repro.net.rpc import RpcServerPort
 from repro.net.wire import (
@@ -49,6 +49,7 @@ from repro.net.wire import (
 from repro.core.kernel.events import Event
 from repro.rt.effects import AsyncioEffects
 from repro.rt.framing import FrameWriter, WireCounters
+from repro.util.rng import StreamRNG
 
 __all__ = [
     "ShardConfig",
@@ -59,6 +60,14 @@ __all__ = [
 
 class ShardConfig:
     """Everything one shard process needs to know."""
+
+    #: Every live shard's allocator (``locality`` never draws from its
+    #: RNG stream) and MDS.  No lease GC: reclaiming a silent client's
+    #: space is only safe behind the array-side fence (DESIGN §8), and
+    #: the live volume file has none.
+    num_groups = 4
+    ag_strategy = "locality"
+    lease_duration = None
 
     def __init__(
         self,
@@ -83,41 +92,8 @@ class ShardConfig:
         self.drop_every = drop_every
 
     @property
-    def slice_size(self) -> int:
-        return self.volume_size // self.shards
-
-    @property
-    def base_offset(self) -> int:
-        return self.shard * self.slice_size
-
-    @property
     def dump_path(self) -> str:
-        import os
-
         return os.path.join(self.data_dir, f"shard-{self.shard}.json")
-
-
-def build_shard_server(
-    env: AsyncioEffects, config: ShardConfig
-) -> MetadataServer:
-    """Assemble the shard's MDS exactly like the simulator factory does:
-    namespace ids in the shard's residue class, space from the shard's
-    disjoint volume slice."""
-    namespace = Namespace(
-        first_id=config.shard + 1, id_step=config.shards
-    )
-    space = SpaceManager(
-        volume_size=config.slice_size,
-        base_offset=config.base_offset,
-        num_groups=4,
-    )
-    port = RpcServerPort(env)
-    params = MdsParameters(
-        num_daemons=config.num_daemons, shards=config.shards
-    )
-    return MetadataServer(
-        env, params, namespace, space, port, downlinks={}
-    )
 
 
 def dump_shard_state(
@@ -145,8 +121,10 @@ def dump_shard_state(
         "shard": config.shard,
         "shards": config.shards,
         "volume_size": config.volume_size,
-        "slice_size": config.slice_size,
-        "base_offset": config.base_offset,
+        "slice_size": server.space.volume_size,
+        "base_offset": server.space.base_offset,
+        "num_groups": len(server.space.groups),
+        "strategy": server.space.strategy,
         "files": files,
         "commit_apply_counts": [
             [client_id, op_id, count]
@@ -204,7 +182,18 @@ async def serve_shard(
 ) -> _t.Dict[str, _t.Any]:
     """Run one shard until a ctl shutdown arrives; returns its dump."""
     env = AsyncioEffects(asyncio.get_running_loop())
-    server = build_shard_server(env, config)
+    namespace, space = build_shard_state(
+        config.shard, config.shards, config.volume_size,
+        config.num_groups, config.ag_strategy, StreamRNG(0),
+    )
+    params = MdsParameters(
+        num_daemons=config.num_daemons,
+        lease_duration=config.lease_duration,
+        shards=config.shards,
+    )
+    server = MetadataServer(
+        env, params, namespace, space, RpcServerPort(env), downlinks={}
+    )
     stop = asyncio.Event()
     request_counter = [0]
     dropped = [0]

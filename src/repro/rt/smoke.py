@@ -1,11 +1,12 @@
 """``repro smoke``: drive a live cluster, then judge its on-disk state.
 
 The smoke run is the end-to-end proof that the effects refactor produced
-*one* protocol stack: the exact client assembly the simulator builds --
+*one* protocol stack: the simulator's client builder
+(:func:`repro.fs.redbud.build_client`) assembles each
 :class:`~repro.client.client.RedbudClient` in delayed-commit mode, with
 its commit queue, adaptive daemon pool, compound controller and retrying
-RPC stub -- runs here against real ``repro serve`` shard processes over
-real TCP, writing real bytes into a shared volume file.
+RPC stub, and it runs here against real ``repro serve`` shard processes
+over real TCP, writing real bytes into a shared volume file.
 
 After the workload drains, the shards are shut down (each persists its
 durable state to ``shard-<k>.json``) and :func:`run_oracles` judges the
@@ -25,11 +26,13 @@ import typing as _t
 from repro.client.client import RedbudClient
 from repro.consistency.fsck import rebuild_free_space
 from repro.consistency.panel import PANEL_KINDS, judge_shards
+from repro.fs.config import ClusterConfig
+from repro.fs.redbud import build_client
 from repro.mds.allocation import SpaceManager
 from repro.mds.extent import Extent
 from repro.mds.namespace import FileMeta, Namespace
-from repro.mds.sharding import ShardRouter
-from repro.net.rpc import RetryPolicy, RpcClient
+from repro.mds.sharding import ShardRouter, build_shard_state
+from repro.net.rpc import RetryPolicy
 from repro.rt.disk import RtBlockDevice, pattern_byte
 from repro.rt.effects import AsyncioEffects
 from repro.rt.transport import RtClusterTransport, ctl_request
@@ -104,43 +107,28 @@ def _workload(
 
 
 async def run_smoke(config: SmokeConfig) -> _t.Dict[str, _t.Any]:
-    """Drive the workload, shut the shards down, judge the dumps."""
+    """Drive the workload, shut the shards down, judge the dumps.
+
+    The shards are shut down, and so write their dumps, on every exit
+    path: a run that times out or whose client fails still ends ``repro
+    serve`` before its error propagates.
+    """
     env = AsyncioEffects(asyncio.get_running_loop())
     router = ShardRouter(num_shards=config.shards)
-    blockdev = RtBlockDevice(
-        env, config.volume_path, config.volume_size
-    )
-    transport = await RtClusterTransport.connect(
-        env, config.addresses, router
+    blockdev = RtBlockDevice(env, config.volume_path, config.volume_size)
+    transport = await RtClusterTransport.connect(env, config.addresses, router)
+    node = ClusterConfig.delayed_commit(
+        num_clients=config.clients,
+        fixed_compound_degree=config.compound_degree,
+        retry=RetryPolicy(base_timeout=0.5, max_timeout=2.0, max_attempts=30),
     )
     rng = StreamRNG(config.seed)
     expectations: _t.Dict[int, int] = {}
-    clients: _t.List[RedbudClient] = []
     try:
-        for client_id in range(1, config.clients + 1):
-            rpc = RpcClient(
-                env,
-                client_id,
-                transport,
-                retry=RetryPolicy(
-                    base_timeout=0.5,
-                    max_timeout=2.0,
-                    max_attempts=30,
-                ),
-                retry_rng=rng.stream("retry", client_id),
-            )
-            clients.append(
-                RedbudClient(
-                    env,
-                    client_id,
-                    rpc,
-                    blockdev,
-                    commit_mode="delayed",
-                    fixed_compound_degree=config.compound_degree,
-                    shard_of_file=router.shard_of_file,
-                    num_shards=config.shards,
-                )
-            )
+        clients = [
+            build_client(env, node, client_id, transport, blockdev, router, rng)
+            for client_id in range(1, config.clients + 1)
+        ]
         procs = [
             env.process(
                 _workload(client, config, expectations),
@@ -148,34 +136,26 @@ async def run_smoke(config: SmokeConfig) -> _t.Dict[str, _t.Any]:
             )
             for client in clients
         ]
-        await asyncio.wait_for(
-            env.wait(env.all_of(procs)), config.timeout
-        )
+        await asyncio.wait_for(env.wait(env.all_of(procs)), config.timeout)
         env.check_failures()
-
-        stats = []
-        for host, port in config.addresses:
-            stats.append(
-                await ctl_request(host, port, {"op": "stats"})
-            )
-        dumps = []
-        for host, port in config.addresses:
-            reply = await ctl_request(host, port, {"op": "shutdown"})
-            if not reply.get("ok"):
-                raise RuntimeError(f"shard shutdown failed: {reply!r}")
-        for shard in range(config.shards):
-            dump_path = os.path.join(
-                config.data_dir, f"shard-{shard}.json"
-            )
-            with open(dump_path) as handle:
-                dumps.append(json.load(handle))
+        stats = [
+            await ctl_request(host, port, {"op": "stats"})
+            for host, port in config.addresses
+        ]
     finally:
+        replies = [await _shut_down(*address) for address in config.addresses]
         await transport.aclose()
         blockdev.close()
+    for reply in replies:
+        if not reply.get("ok"):
+            raise RuntimeError(f"shard shutdown failed: {reply!r}")
+    dumps = []
+    for shard in range(config.shards):
+        dump_path = os.path.join(config.data_dir, f"shard-{shard}.json")
+        with open(dump_path) as handle:
+            dumps.append(json.load(handle))
 
-    report = run_oracles(
-        dumps, config.volume_path, expectations, config
-    )
+    report = run_oracles(dumps, config.volume_path, expectations, config)
     report["shard_stats"] = stats
     report["transport_stats"] = dict(
         transport.wire.as_dict(),
@@ -197,6 +177,14 @@ async def run_smoke(config: SmokeConfig) -> _t.Dict[str, _t.Any]:
         for client in clients
     ]
     return report
+
+
+async def _shut_down(host: str, port: int) -> _t.Dict[str, _t.Any]:
+    """Ask one shard to dump and exit; a failure to ask is its reply."""
+    try:
+        return await ctl_request(host, port, {"op": "shutdown"})
+    except Exception as exc:  # e.g. the shard has already exited
+        return {"ok": False, "error": repr(exc)}
 
 
 class _ApplyCounts(_t.NamedTuple):
@@ -223,23 +211,22 @@ def load_shard(
 ) -> _t.Tuple[LoadedShard, _t.Optional[str]]:
     """One shard's dump back as durable state, plus any fsck problem.
 
-    The space is the allocator :func:`rebuild_free_space` derives from
-    the committed namespace; a namespace that does not rebuild keeps the
-    slice's empty allocator and reports why.
+    The shard's state is rebuilt with the allocator geometry the dump
+    records; its space is the allocator :func:`rebuild_free_space`
+    derives from the committed namespace.  A namespace that does not
+    rebuild keeps the slice's empty allocator and reports why.
     """
     shard = dump["shard"]
-    namespace = Namespace(first_id=shard + 1, id_step=dump["shards"])
+    namespace, space = build_shard_state(
+        shard, dump["shards"], dump["volume_size"],
+        dump["num_groups"], dump["strategy"], StreamRNG(0),
+    )
     for entry in dump["files"]:
         # A dumped file carries exactly FileMeta's fields.
         extents = [Extent(*extent) for extent in entry["extents"]]
         meta = FileMeta(**dict(entry, extents=extents))
         namespace._files[meta.file_id] = meta
         namespace._by_name[meta.name] = meta.file_id
-    space = SpaceManager(
-        volume_size=dump["slice_size"],
-        base_offset=dump["base_offset"],
-        num_groups=4,
-    )
     problem = None
     try:
         space = rebuild_free_space(namespace, space)

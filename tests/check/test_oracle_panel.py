@@ -58,6 +58,19 @@ def _reloaded(cluster):
     return states
 
 
+def _geometry(space):
+    return space.strategy, [(g.start, g.end) for g in space.groups]
+
+
+def test_allocator_geometry_survives_dump_json_and_load(cluster):
+    # The check cluster's shards run 8 ``random`` groups each, not the
+    # live shard's 4 ``locality`` ones.
+    assert _geometry(cluster.metadata.shard(0).space)[0] == "random"
+    assert [_geometry(state.space) for state in _reloaded(cluster)] == [
+        _geometry(server.space) for server in cluster.metadata
+    ]
+
+
 def _double_an_apply(cluster):
     server = cluster.metadata.shard(1)
     key = sorted(server.commit_apply_counts)[0]

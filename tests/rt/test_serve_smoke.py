@@ -16,6 +16,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from repro.consistency.panel import PANEL_KINDS
 from repro.rt.smoke import SmokeConfig, run_oracles, run_smoke
 
@@ -146,6 +148,32 @@ def test_live_two_shard_cluster_passes_oracles(tmp_path):
         )
 
 
+def test_failed_smoke_still_shuts_the_cluster_down(tmp_path):
+    data_dir = str(tmp_path)
+    proc, cluster = _start_cluster(data_dir, drop_every=0)
+    try:
+        config = SmokeConfig(
+            addresses=[tuple(a) for a in cluster["addresses"]],
+            data_dir=data_dir,
+            shards=cluster["shards"],
+            volume_size=cluster["volume_size"],
+            timeout=0.01,
+        )
+        with pytest.raises(asyncio.TimeoutError):
+            asyncio.run(run_smoke(config))
+        assert proc.wait(timeout=30) == 0
+    finally:
+        if proc.poll() is None:
+            # SIGINT lets serve terminate its shard processes.
+            proc.send_signal(signal.SIGINT)
+            proc.wait(timeout=10)
+        proc.stdout.close()
+    for shard in range(2):
+        assert os.path.exists(
+            os.path.join(data_dir, f"shard-{shard}.json")
+        )
+
+
 def _config(tmp_path):
     return SmokeConfig(
         addresses=[("127.0.0.1", 0), ("127.0.0.1", 0)],
@@ -174,6 +202,8 @@ def _dump(shard, shards=2, files=(), counts=()):
         "volume_size": VOLUME_SIZE,
         "slice_size": slice_size,
         "base_offset": shard * slice_size,
+        "num_groups": 4,
+        "strategy": "locality",
         "files": list(files),
         "commit_apply_counts": list(counts),
         "oplog": _oplog(files),
