@@ -854,11 +854,18 @@ def cmd_soak(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     """Boot a live sharded metadata cluster: one process per shard."""
     import os
+    import signal
     import subprocess
+
+    def interrupt(signum: int, frame: _t.Any) -> None:
+        raise KeyboardInterrupt
 
     os.makedirs(args.data_dir, exist_ok=True)
     children: _t.List[subprocess.Popen] = []
     addresses: _t.List[_t.List[_t.Any]] = []
+    # SIGTERM's default action exits without unwinding, which would skip
+    # the ``finally`` below and orphan the shards: take the ^C path.
+    previous_sigterm = signal.signal(signal.SIGTERM, interrupt)
     try:
         for shard in range(args.shards):
             cmd = [
@@ -925,6 +932,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         return 0
     finally:
+        # A second SIGTERM must not cut the clean-up short.
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
         for child in children:
             if child.poll() is None:
                 child.terminate()
@@ -933,6 +942,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 child.wait(timeout=5)
             except Exception:
                 child.kill()
+        signal.signal(signal.SIGTERM, previous_sigterm)
 
 
 def cmd_serve_shard(args: argparse.Namespace) -> int:

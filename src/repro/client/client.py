@@ -215,7 +215,12 @@ class RedbudClient(FileSystemAPI):
     # ------------------------------------------------------------------
 
     def _halt_forever(self) -> Event:
-        """A dead node never completes anything: park the caller."""
+        """A dead node never completes anything: park the caller.
+
+        Nothing else holds the event, so the parked process and it
+        reference only each other: the one cyclic garbage a run makes,
+        left to the collector's next full pass.
+        """
         return Event(self.env)
 
     def create(self, name: str) -> _t.Generator:

@@ -30,13 +30,25 @@ Cancelled timeouts
 (its callback list becomes ``None``); the pop loops skip tombstones, and
 the environment compacts the scheduler when cancelled entries outnumber
 live ones, so retry/backoff churn cannot bloat the calendar.
+
+The cyclic collector
+--------------------
+:meth:`Environment.run` turns CPython's cyclic garbage collector off
+for its loop and puts the caller's setting back on every exit.  A
+model's garbage is freed by reference counting; what the collector's
+young passes would find inside a run is nothing, so they cost host time
+alone.  Discarded simulations *are* cyclic garbage, so a run that ends
+with the heap a quarter larger than after the last full pass runs one
+(see :class:`_CollectorPause`).
 """
 
 from __future__ import annotations
 
+import gc as _gc
 import heapq
 import math
 import typing as _t
+from sys import getallocatedblocks as _getallocatedblocks
 from sys import getrefcount as _getrefcount
 
 from repro.core.effects import Effects
@@ -508,7 +520,23 @@ class Environment(Effects):
             exactly ``until``).
             An :class:`Event` -- run until it is processed; its value is
             returned (a failed event re-raises its exception).
+
+        CPython's cyclic collector is off while the calendar runs and is
+        put back as the caller had it on every exit, return or raise;
+        see :class:`_CollectorPause`.  It is process-wide state: a run
+        entered with the collector already off (a run nested in another,
+        or a caller that turned it off) leaves it alone.
         """
+        if not _gc.isenabled():
+            return self._run(until)
+        _gc.disable()
+        try:
+            return self._run(until)
+        finally:
+            _gc.enable()
+            _COLLECTOR.settle()
+
+    def _run(self, until: _t.Union[None, float, Event]) -> _t.Any:
         stop_event: _t.Optional[Event] = None
         if until is not None:
             if isinstance(until, Event):
@@ -591,3 +619,47 @@ class Environment(Effects):
 
 def _stop_callback(event: Event) -> None:
     raise _StopRun(event)
+
+
+class _CollectorPause:
+    """The full passes a paused :meth:`Environment.run` still owes.
+
+    Pausing the collector inside a run loses nothing the collector would
+    find there, but it starves CPython's own full-pass trigger, which
+    counts young passes: most allocation now happens where none run, so
+    the cyclic garbage of discarded simulations would pile up.  So as a
+    paused run ends, :meth:`settle` compares the allocator's blocks in
+    use with the count right after the last full pass (anyone's,
+    ``gc.collect()`` callers included: a ``gc.callbacks`` hook notes
+    each) and runs one full pass when the heap has grown by a quarter,
+    the ratio CPython's own trigger uses for its long-lived objects.
+    The measure is ``sys.getallocatedblocks()``, a walk over pymalloc's
+    pools that allocates nothing; an interpreter without pymalloc
+    reports 0, and the comparison then collects at every exit.
+    """
+
+    __slots__ = ("heap",)
+
+    def __init__(self) -> None:
+        #: Allocator blocks in use after the last full pass; ``None``
+        #: until the first paused run ends and the hook is installed.
+        self.heap: _t.Optional[int] = None
+
+    def _note_full_pass(
+        self, phase: str, info: _t.Dict[str, int]
+    ) -> None:
+        if phase == "stop" and info["generation"] == 2:
+            self.heap = _getallocatedblocks()
+
+    def settle(self) -> None:
+        """A paused run has ended and the collector is back on."""
+        blocks = _getallocatedblocks()
+        heap = self.heap
+        if heap is None:
+            _gc.callbacks.append(self._note_full_pass)
+            self.heap = blocks
+        elif 4 * (blocks - heap) >= heap:
+            _gc.collect()
+
+
+_COLLECTOR = _CollectorPause()

@@ -12,6 +12,7 @@ import asyncio
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -172,6 +173,34 @@ def test_failed_smoke_still_shuts_the_cluster_down(tmp_path):
         assert os.path.exists(
             os.path.join(data_dir, f"shard-{shard}.json")
         )
+
+
+def _refuses_connections(address):
+    try:
+        socket.create_connection(tuple(address), timeout=1).close()
+    except ConnectionRefusedError:
+        return True
+    return False
+
+
+def test_sigterm_takes_the_shards_down(tmp_path):
+    proc, cluster = _start_cluster(str(tmp_path), drop_every=0)
+    try:
+        assert not any(map(_refuses_connections, cluster["addresses"]))
+        proc.send_signal(signal.SIGTERM)
+        deadline = time.monotonic() + 5
+        for address in cluster["addresses"]:
+            while not _refuses_connections(address):
+                assert time.monotonic() < deadline, (
+                    f"shard at {address} outlived SIGTERM to serve"
+                )
+                time.sleep(0.05)
+        assert proc.wait(timeout=10) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+        proc.stdout.close()
 
 
 def _config(tmp_path):
