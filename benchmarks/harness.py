@@ -102,12 +102,10 @@ def _cells(
     duration: float = 1.0,
     warmup: float = 0.2,
     shards: int = 1,
-    replication: str = "none",
 ) -> _t.List[_t.Dict[str, _t.Any]]:
-    # ``shards`` and ``replication`` are part of every cell so the cache
-    # key hashes them: sharded/replicated runs of the same (system,
-    # workload, seed) can never collide in the result cache or
-    # BENCH_sim.json.
+    # ``shards`` is part of every cell so the cache key hashes it:
+    # sharded runs of the same (system, workload, seed) can never
+    # collide in the result cache or BENCH_sim.json.
     return [
         {
             "system": system,
@@ -116,7 +114,6 @@ def _cells(
             "duration": duration,
             "warmup": warmup,
             "shards": shards,
-            "replication": replication,
         }
         for system in systems
         for workload in workloads
@@ -148,20 +145,6 @@ FIGURE_SWEEPS: _t.Dict[str, _t.List[_t.Dict[str, _t.Any]]] = {
     "fig6": _cells(["redbud-delayed"], ["varmail", "xcdn-32K"], [4, 7]),
     "fig7": _cells(["redbud-delayed"], ["varmail"], [2, 4, 7]),
     "smoke": _cells(["redbud-delayed"], ["xcdn-32K"], [4], duration=0.5),
-    # Replication-factor sweep: the same delayed-commit cells across
-    # storage-group arrangements (unreplicated baseline, 3-way mirror,
-    # 4+2 erasure).  Shows what the fan-out ack waits cost and what the
-    # CURP fast path claws back.
-    "replication": [
-        cell
-        for arrangement in ("none", "mirror3", "block4-2")
-        for cell in _cells(
-            ["redbud-delayed"],
-            ["varmail", "xcdn-32K"],
-            [4],
-            replication=arrangement,
-        )
-    ],
 }
 
 
@@ -184,7 +167,6 @@ def _scale_cell(
         "duration": duration,
         "warmup": warmup,
         "shards": 1,
-        "replication": "none",
         "config": {"delegation_chunk": 1024 * 1024},
         "processes": processes,
     }
@@ -333,7 +315,6 @@ def run_cell(cell: _t.Dict[str, _t.Any]) -> _t.Dict[str, _t.Any]:
         num_clients=cell["clients"],
         seed=cell["seed"],
         shards=cell.get("shards", 1),
-        replication=cell.get("replication", "none"),
         **extra,
     )
     result = cluster.run_workload(

@@ -78,14 +78,14 @@ class Counterexample:
     seed: int = 0
     clients: int = 3
     shards: int = 1
-    replication: str = "none"
+    witness_capacity: int = 0
     trace: _t.List[str] = field(default_factory=list)
 
     def as_dict(self) -> _t.Dict[str, _t.Any]:
         shards_arg = f" --shards {self.shards}" if self.shards > 1 else ""
-        repl_arg = (
-            f" --replication {self.replication}"
-            if self.replication != "none"
+        witness_arg = (
+            f" --witness-capacity {self.witness_capacity}"
+            if self.witness_capacity
             else ""
         )
         return {
@@ -99,7 +99,7 @@ class Counterexample:
             "replay": (
                 f"python -m repro run --faults '{self.minimal}' --check "
                 f"--seed {self.seed} --clients {self.clients}"
-                f"{shards_arg}{repl_arg}"
+                f"{shards_arg}{witness_arg}"
             ),
             "trace": list(self.trace),
         }
@@ -114,11 +114,14 @@ class CheckReport:
     mode: str
     clients: int
     shards: int = 1
-    replication: str = "none"
+    witness_capacity: int = 0
     schedules: _t.List[_t.Dict[str, _t.Any]] = field(default_factory=list)
     counterexamples: _t.List[Counterexample] = field(default_factory=list)
     coverage: _t.Dict[str, _t.Any] = field(default_factory=dict)
     shrink_probes: int = 0
+    #: Commits acknowledged on the witness fast path over the judged
+    #: schedules; reported only when witnesses are armed.
+    fast_commits: int = 0
 
     @property
     def failures(self) -> int:
@@ -129,13 +132,13 @@ class CheckReport:
         return self.failures == 0
 
     def as_dict(self) -> _t.Dict[str, _t.Any]:
-        return {
+        payload = {
             "seed": self.seed,
             "budget": self.budget,
             "mode": self.mode,
             "clients": self.clients,
             "shards": self.shards,
-            "replication": self.replication,
+            "witness_capacity": self.witness_capacity,
             "schedules_run": len(self.schedules),
             "failures": self.failures,
             "ok": self.ok,
@@ -146,18 +149,26 @@ class CheckReport:
             ],
             "shrink_probes": self.shrink_probes,
         }
+        if self.witness_capacity:
+            payload["fast_commits"] = self.fast_commits
+        return payload
 
     def summary(self) -> str:
         cov = self.coverage.get("fraction", 0.0)
+        witnessed = (
+            f", {self.fast_commits} fast commit(s)"
+            if self.witness_capacity
+            else ""
+        )
         return (
             f"check: {len(self.schedules)} schedules, "
             f"{self.failures} failing, coverage {cov:.0%}, "
-            f"{len(self.counterexamples)} counterexample(s)"
+            f"{len(self.counterexamples)} counterexample(s){witnessed}"
         )
 
 
 def check_config(
-    clients: int, mode: str, shards: int, replication: str
+    clients: int, mode: str, shards: int, witness_capacity: int
 ) -> ClusterConfig:
     """The cluster every check and soak run builds (``build_cluster``
     arms the RPC retry policy a faulted schedule needs)."""
@@ -170,10 +181,7 @@ def check_config(
             gc_scan_interval=GC_SCAN_INTERVAL,
             shards=shards,
         ),
-        replication=replication,
-        # Small witness budget so the overflow fallback is reachable
-        # inside a short check run, not just at bench scale.
-        witness_capacity=16,
+        witness_capacity=witness_capacity,
     )
 
 
@@ -184,7 +192,7 @@ def run_schedule(
     clients: int = 3,
     mode: str = "delayed",
     shards: int = 1,
-    replication: str = "none",
+    witness_capacity: int = 0,
     run_span: float = RUN_SPAN,
     seed_bug: _t.Optional[str] = None,
     workload: _t.Optional[CheckWorkload] = None,
@@ -201,7 +209,7 @@ def run_schedule(
     """
     obs = Instrumentation()
     cluster = build_cluster(
-        check_config(clients, mode, shards, replication),
+        check_config(clients, mode, shards, witness_capacity),
         seed=seed, obs=obs, faults=spec, seed_bug=seed_bug,
     )
     env = cluster.env
@@ -238,23 +246,16 @@ def _nemesis_spec(
     rng: StreamRNG,
     clients: int,
     shards: int = 1,
-    replication: str = "none",
 ) -> FaultSpec:
     """Draw one random fault combination as canonical clause atoms.
 
-    At ``shards == 1, replication == "none"`` the draw sequence is
-    frozen (CI asserts reports are byte-identical across runs *and*
-    releases); sharded clauses gate on ``shards > 1`` and the disk-loss
-    family gates on a replicated cluster -- each only adds draws inside
-    its own gate, so arming one axis never perturbs the other.
+    At ``shards == 1`` the draw sequence is frozen (CI asserts reports
+    are byte-identical across runs *and* releases); sharded clauses gate
+    on ``shards > 1`` and only add draws inside that gate.
     """
-    from repro.storage.groups import arrangement_named
-
     clauses: _t.List[str] = []
-    replicated = replication != "none"
-    num_families = 8 + (1 if shards > 1 else 0) + (1 if replicated else 0)
+    num_families = 8 + (1 if shards > 1 else 0)
     shard_family = 8 if shards > 1 else None
-    disk_family = num_families - 1 if replicated else None
     family = rng.integers(0, num_families)
     t0 = round(rng.uniform(0.05, 0.30), 4)
 
@@ -304,22 +305,6 @@ def _nemesis_spec(
         sid = rng.integers(0, shards)
         t1 = round(t0 + rng.uniform(0.08, 0.22), 4)
         clauses.append(f"shard_partition={sid}@{t0!r}-{t1!r}")
-    elif family == disk_family:
-        # Replicated clusters only: destroy replica members, staying
-        # inside the arrangement's fault budget; half the losses
-        # rebuild (readmit + re-silver) mid-run.
-        arr = arrangement_named(replication)
-        member = rng.integers(0, arr.size)
-        if rng.random() < 0.5:
-            rebuild = round(rng.uniform(0.05, 0.20), 4)
-            clauses.append(f"disk_loss={member}@{t0!r}:{rebuild!r}")
-        else:
-            clauses.append(f"disk_loss={member}@{t0!r}")
-        if arr.tolerates >= 2 and rng.random() < 0.4:
-            second = rng.integers(0, arr.size)
-            if second != member:
-                at2 = round(t0 + rng.uniform(0.02, 0.10), 4)
-                clauses.append(f"disk_loss={second}@{at2!r}")
     if rng.random() < 0.35:
         clauses.append(f"crash@{round(rng.uniform(0.10, 0.50), 4)!r}")
     return compose(clauses)
@@ -371,7 +356,7 @@ def explore(
     clients: int = 3,
     mode: str = "delayed",
     shards: int = 1,
-    replication: str = "none",
+    witness_capacity: int = 0,
     seed_bug: _t.Optional[str] = None,
     max_counterexamples: int = 3,
     shrink_probe_budget: int = 24,
@@ -388,7 +373,7 @@ def explore(
         raise ValueError("budget must be >= 1")
     report = CheckReport(
         seed=seed, budget=budget, mode=mode, clients=clients,
-        shards=shards, replication=replication,
+        shards=shards, witness_capacity=witness_capacity,
     )
     coverage = TransitionCoverage()
     say = log if log is not None else (lambda _msg: None)
@@ -397,6 +382,8 @@ def explore(
         kind: str, spec: FaultSpec, outcome: RunOutcome
     ) -> None:
         coverage.observe(outcome.obs)
+        if outcome.cluster.witnesses is not None:
+            report.fast_commits += outcome.cluster.witnesses.fast_commits
         report.schedules.append(
             {
                 "kind": kind,
@@ -411,7 +398,7 @@ def explore(
     def runner(spec: FaultSpec) -> RunOutcome:
         return run_schedule(
             spec, seed=seed, clients=clients, mode=mode, shards=shards,
-            replication=replication, seed_bug=seed_bug,
+            witness_capacity=witness_capacity, seed_bug=seed_bug,
         )
 
     # 1. Probe: fault-free baseline + transition timestamps.
@@ -443,7 +430,7 @@ def explore(
     nemesis_root = StreamRNG(seed).stream("check", "nemesis")
     for i in range(max(0, remaining)):
         spec = _nemesis_spec(
-            nemesis_root.stream(i), clients, shards, replication
+            nemesis_root.stream(i), clients, shards
         )
         outcome = runner(spec)
         record("nemesis", spec, outcome)
@@ -480,7 +467,7 @@ def explore(
                 seed=seed,
                 clients=clients,
                 shards=shards,
-                replication=replication,
+                witness_capacity=witness_capacity,
                 trace=_trace_excerpt(replay),
             )
         )

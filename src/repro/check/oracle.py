@@ -4,7 +4,7 @@ Both judges start from the oracle panel (:mod:`repro.consistency.panel`).
 :func:`judge_live` runs it on a settled cluster; :func:`judge_crash`
 swaps its ordered-writes and live fsck checks for recovery's pre/post
 checks and a strict fsck.  Both then add what durable state cannot
-show: replica divergence and trace-level commit ordering.
+show: trace-level commit ordering.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def judge_crash(
     durable_checks(
         list(cluster.metadata), cluster.config.disk.volume_size, verdict
     )
-    _simulator_checks(cluster, verdict, repair=True)
+    _simulator_checks(cluster, verdict)
     return verdict
 
 
@@ -97,59 +97,13 @@ def judge_live(cluster: "RedbudCluster") -> Verdict:
         cluster.array.stable,
         cluster.config.disk.volume_size,
     )
-    _simulator_checks(cluster, verdict, repair=False)
+    _simulator_checks(cluster, verdict)
     return verdict
 
 
-def _simulator_checks(
-    cluster: "RedbudCluster", verdict: Verdict, repair: bool
-) -> None:
-    """What only a simulated cluster can show: replicas and the trace."""
-    _replica_divergence(cluster, verdict, repair)
+def _simulator_checks(cluster: "RedbudCluster", verdict: Verdict) -> None:
+    """What only a simulated cluster can show: the trace."""
     if cluster.obs is not None:
         for detail in check_commit_ordering(cluster.obs.tracer):
             verdict.add("commit-before-stable", detail)
 
-
-def _replica_divergence(
-    cluster: "RedbudCluster", verdict: Verdict, repair: bool
-) -> None:
-    """Replica-divergence invariant for replicated storage groups.
-
-    After recovery (``repair=True``: surviving members first re-silver
-    up to the recoverable set) every pair of live members must hold the
-    same durable ranges, and every committed extent must be recoverable
-    -- held by at least a data quorum of live members.  Vacuous for
-    unreplicated clusters.
-    """
-    group = getattr(cluster, "group", None)
-    if group is None:
-        return
-    if repair:
-        copied = group.repair()
-        if copied:
-            verdict.summaries.append(
-                f"repair re-silvered {copied} bytes"
-            )
-    recoverable = group.recoverable_set()
-    missing = 0
-    servers = list(cluster.metadata)
-    for tag, server in zip(shard_tags(len(servers)), servers):
-        for offset, length in server.namespace.all_committed_ranges():
-            if not recoverable.contains(offset, offset + length):
-                missing += 1
-                verdict.add(
-                    "replica-divergence",
-                    f"committed extent [{offset}, {offset + length}) "
-                    f"held by fewer than {group.arrangement.data} live "
-                    f"members{tag}",
-                )
-    for a, b in group.divergent_members():
-        verdict.add(
-            "replica-divergence",
-            f"live members {a} and {b} disagree on durable ranges",
-        )
-    verdict.summaries.append(
-        f"replica-divergence: {group.alive_count}/{group.size} members "
-        f"alive, {missing} unrecoverable committed extents"
-    )

@@ -11,8 +11,8 @@ and heals faults, and evaluates oracles *while the run is going*:
   re-converge within :data:`~repro.faults.nemesis.CONVERGENCE_GRACE`
   virtual seconds -- delayed->sync degradation reverts, commit queues
   drain below the degradation threshold, lease GC resumes after an MDS
-  restart, re-silvering completes after a disk readmit, and the CURP
-  witness backlog stays below capacity;
+  restart, and the CURP witness backlog (when witnesses are armed)
+  stays below capacity;
 - a **stuck-progress detector**: a window in which the MDS processed
   no request while no fault was live is a liveness violation.
 
@@ -65,7 +65,6 @@ __all__ = [
     "judge_converged",
     "probe_client_converged",
     "probe_mds_converged",
-    "probe_resilver_complete",
     "probe_witness_converged",
     "run_soak",
 ]
@@ -235,32 +234,6 @@ def probe_witness_converged(
     return []
 
 
-def probe_resilver_complete(
-    cluster: RedbudCluster, member: int, since: float
-) -> _t.List[_t.Tuple[str, str]]:
-    """Disk readmitted and its re-silver finished after ``since``."""
-    group = getattr(cluster, "group", None)
-    if group is None:
-        return [
-            ("liveness-resilver-incomplete", "no storage group to probe")
-        ]
-    if not group.members[member].alive:
-        return [
-            (
-                "liveness-resilver-incomplete",
-                f"member {member} still dead after readmit deadline",
-            )
-        ]
-    if group.last_resilver_at is None or group.last_resilver_at < since:
-        return [
-            (
-                "liveness-resilver-incomplete",
-                f"no re-silver completed since t={since:.3f}",
-            )
-        ]
-    return []
-
-
 def judge_converged(cluster: RedbudCluster) -> Verdict:
     """Final liveness judgement on a settled cluster.
 
@@ -325,7 +298,7 @@ class SoakReport:
     clients: int
     mode: str
     shards: int
-    replication: str
+    witness_capacity: int
     seed_bug: str = "none"
     actions: _t.List[_t.Dict[str, _t.Any]] = field(default_factory=list)
     violations: _t.List[SoakViolation] = field(default_factory=list)
@@ -353,7 +326,7 @@ class SoakReport:
             "clients": self.clients,
             "mode": self.mode,
             "shards": self.shards,
-            "replication": self.replication,
+            "witness_capacity": self.witness_capacity,
             "seed_bug": self.seed_bug,
             "actions": len(self.actions),
             "sweeps": self.sweeps_run,
@@ -383,7 +356,7 @@ def run_soak(
     clients: int = 4,
     mode: str = "delayed",
     shards: int = 1,
-    replication: str = "none",
+    witness_capacity: int = 0,
     seed_bug: str = "none",
     sweeps: int = DEFAULT_SWEEPS,
     shrink: bool = True,
@@ -400,7 +373,7 @@ def run_soak(
     horizon = hours * HOUR
     report = SoakReport(
         seed=seed, hours=hours, intensity=intensity, clients=clients,
-        mode=mode, shards=shards, replication=replication,
+        mode=mode, shards=shards, witness_capacity=witness_capacity,
         seed_bug=seed_bug,
     )
     out = emit if emit is not None else (lambda payload: None)
@@ -410,7 +383,6 @@ def run_soak(
         horizon,
         clients,
         shards=shards,
-        replication=replication,
         intensity=intensity,
         death_recovery=DEATH_RECOVERY,
     )
@@ -420,7 +392,7 @@ def run_soak(
     # hold millions of events; the FaultTracker carries the excusal
     # state the oracles need without a trace.
     cluster = build_cluster(
-        check_config(clients, mode, shards, replication),
+        check_config(clients, mode, shards, witness_capacity),
         seed=seed, faults=compose([a.clause for a in actions]),
         seed_bug=seed_bug,
     )
@@ -508,28 +480,23 @@ def run_soak(
             else action.end
         )
         findings: _t.List[_t.Tuple[str, str]] = []
-        if action.kind == "disk_loss":
-            findings += probe_resilver_complete(
-                cluster, int(action.scope[1]), action.start
-            )
-        elif action.kind == "client_death":
+        if action.kind == "client_death":
             return  # Healed by the timeline; nothing converges back.
+        if action.kind == "partition":
+            targets = [int(action.scope[1])]
         else:
-            if action.kind == "partition":
-                targets = [int(action.scope[1])]
-            else:
-                targets = list(range(clients))
-            for cid in targets:
-                findings += probe_client_converged(cluster, cid)
-            if action.kind == "mds_restart":
-                shard_arg = (
-                    int(action.scope[1])
-                    if action.scope[0] == "shard"
-                    else None
-                )
-                findings += probe_mds_converged(cluster, shard_arg)
-            if action.kind in ("loss_burst", "delay_burst"):
-                findings += probe_witness_converged(cluster)
+            targets = list(range(clients))
+        for cid in targets:
+            findings += probe_client_converged(cluster, cid)
+        if action.kind == "mds_restart":
+            shard_arg = (
+                int(action.scope[1])
+                if action.scope[0] == "shard"
+                else None
+            )
+            findings += probe_mds_converged(cluster, shard_arg)
+        if action.kind in ("loss_burst", "delay_burst"):
+            findings += probe_witness_converged(cluster)
         for kind, detail in findings:
             record(
                 "liveness", kind,
@@ -607,7 +574,8 @@ def run_soak(
     if shrink and not report.ok:
         report.counterexample = _shrink(
             report, actions, seed=seed, clients=clients, mode=mode,
-            shards=shards, replication=replication, seed_bug=seed_bug,
+            shards=shards, witness_capacity=witness_capacity,
+            seed_bug=seed_bug,
         )
     out({"event": "summary", **report.as_dict()})
     return report
@@ -658,11 +626,6 @@ def _shift_clauses(
         out.append(
             f"client_death={death.client_id}@{_round6(death.at - delta)!r}"
         )
-    for dl in spec.disk_losses:
-        clause = f"disk_loss={dl.member}@{_round6(dl.at - delta)!r}"
-        if dl.rebuild_after is not None:
-            clause += f":{dl.rebuild_after!r}"
-        out.append(clause)
     return out
 
 
@@ -674,7 +637,7 @@ def _shrink(
     clients: int,
     mode: str,
     shards: int,
-    replication: str,
+    witness_capacity: int,
     seed_bug: str,
     max_probes: int = 24,
 ) -> _t.Optional[_t.Dict[str, _t.Any]]:
@@ -698,7 +661,7 @@ def _shrink(
     def fails(subset: _t.List[str]) -> bool:
         outcome = run_schedule(
             compose(subset), seed=seed, clients=clients, mode=mode,
-            shards=shards, replication=replication, run_span=span,
+            shards=shards, witness_capacity=witness_capacity, run_span=span,
             seed_bug=seed_bug, workload=SoakWorkload(),
         )
         if not outcome.verdict.ok:
@@ -721,8 +684,8 @@ def _shrink(
         minimal, probes = ddmin(shifted, fails, max_probes=max_probes)
     minimal_spec = compose(minimal)
     shards_arg = f" --shards {shards}" if shards > 1 else ""
-    repl_arg = (
-        f" --replication {replication}" if replication != "none" else ""
+    witness_arg = (
+        f" --witness-capacity {witness_capacity}" if witness_capacity else ""
     )
     bug_arg = f" --seed-bug {seed_bug}" if seed_bug != "none" else ""
     return {
@@ -735,6 +698,6 @@ def _shrink(
             f"python -m repro run --workload soak --faults "
             f"'{minimal_spec.serialize()}' --check --seed {seed} "
             f"--clients {clients} --duration {span:.1f}"
-            f"{shards_arg}{repl_arg}{bug_arg}"
+            f"{shards_arg}{witness_arg}{bug_arg}"
         ),
     }

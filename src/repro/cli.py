@@ -264,7 +264,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     faults = _parse_faults(args.faults)
     shape = {
         "shards": args.shards,
-        "replication": args.replication,
+        "witness_capacity": args.witness_capacity,
         "seed_bug": args.seed_bug,
     }
     _refuse_shape(
@@ -281,13 +281,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         outcome = run_schedule(
             faults, seed=args.seed, clients=args.clients,
-            shards=args.shards, replication=args.replication,
+            shards=args.shards, witness_capacity=args.witness_capacity,
         )
         print(
             f"crash schedule {faults.serialize()!r} replayed on the "
             f"check harness (seed={args.seed}, "
             f"clients={args.clients}, shards={args.shards}, "
-            f"replication={args.replication})"
+            f"witness_capacity={args.witness_capacity})"
         )
         _print_verdict(outcome.verdict)
         print("PASS" if outcome.verdict.ok else "FAIL")
@@ -749,7 +749,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         clients=args.clients,
         mode=args.mode,
         shards=args.shards,
-        replication=args.replication,
+        witness_capacity=args.witness_capacity,
         seed_bug=args.seed_bug,
         max_counterexamples=args.max_counterexamples,
         log=lambda msg: print(msg, file=sys.stderr),
@@ -815,7 +815,7 @@ def cmd_soak(args: argparse.Namespace) -> int:
             intensity=args.intensity,
             clients=args.clients,
             shards=args.shards,
-            replication=args.replication,
+            witness_capacity=args.witness_capacity,
             seed_bug=args.seed_bug,
             emit=emit,
         )
@@ -1063,13 +1063,14 @@ def build_parser() -> argparse.ArgumentParser:
             "disjointness oracle",
         )
         p.add_argument(
-            "--replication",
-            choices=("none", "mirror3", "block4-2"),
-            default="none",
-            help="replicated storage group arrangement (redbud systems "
-            "only; default %(default)s, the unreplicated array); "
-            "mirror3/block4-2 arm CURP witnesses and, in check and "
-            "soak, the disk-loss nemesis and the replica oracles",
+            "--witness-capacity",
+            type=int,
+            default=0,
+            metavar="N",
+            help="CURP witness slots for unsynced commutative commits "
+            "(redbud systems only; default %(default)s, the ordered "
+            "path only); N > 0 arms the 1-RTT witness path in delayed "
+            "mode, and a crash replays the witnessed ops",
         )
         p.add_argument(
             "--seed-bug",
@@ -1096,9 +1097,8 @@ def build_parser() -> argparse.ArgumentParser:
         "inject faults (redbud systems only); comma-separated "
         "clauses: loss=P, delay=P:MAX, partition=CID@T0-T1, "
         "mds_restart@T:D[:shard=K], client_death=CID@T, "
-        "shard_partition=K@T0-T1, disk_loss=M@T[:R], crash@T -- e.g. "
-        "'loss=0.05,mds_restart@0.5:0.2,disk_loss=1@0.3:0.2' "
-        "(disk_loss needs --replication)",
+        "shard_partition=K@T0-T1, crash@T -- e.g. "
+        "'loss=0.05,mds_restart@0.5:0.2,client_death=2@0.8'",
     )
     p_run.add_argument(
         "--processes",

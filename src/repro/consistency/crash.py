@@ -47,11 +47,6 @@ class CrashState:
     lost_block_requests: int
     #: Per-shard durable state; always at least ``((namespace, space),)``.
     shards: _t.Tuple[_t.Tuple[Namespace, SpaceManager], ...] = ()
-    #: Replicated storage group (``None`` when unreplicated).  When set,
-    #: ``stable`` is the group's *recoverable* set -- ranges held by at
-    #: least a data quorum of surviving members -- not the primary's raw
-    #: stable set.
-    group: _t.Optional[_t.Any] = None
     #: Witnessed-but-unsynced commit ops at the crash instant, as
     #: ``(client_id, op_id, file_id, extents)`` tuples (CURP replay).
     witnessed_ops: _t.Tuple[_t.Tuple[int, int, int, _t.Any], ...] = ()
@@ -88,25 +83,15 @@ def crash_cluster(
             lost_records += len(client.commit_queue)
         client.crash()
 
-    # Replication changes what "stable" means at the crash boundary: a
-    # range survives iff a data quorum of surviving group members holds
-    # it.  Unreplicated clusters keep the primary's stable set.
-    group = getattr(cluster, "group", None)
-    stable = (
-        cluster.array.stable
-        if group is None
-        else group.recoverable_set()
-    )
     witnesses = getattr(cluster, "witnesses", None)
 
     return CrashState(
         crash_time=env.now,
         namespace=cluster.namespace,
         space=cluster.space,
-        stable=stable,
+        stable=cluster.array.stable,
         lost_commit_records=lost_records,
         lost_block_requests=lost_requests,
-        group=group,
         witnessed_ops=(
             tuple(witnesses.unsynced_ops())
             if witnesses is not None

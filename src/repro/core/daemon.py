@@ -75,8 +75,8 @@ class CommitDaemonContext:
         #: Observability bundle (``repro.obs.Instrumentation``) or None.
         self.obs = env.obs
         self.node = node
-        #: CURP witness set (:class:`repro.core.witness.WitnessSet`) of
-        #: a replicated cluster, or None for the ordered-only path.
+        #: CURP witness set (:class:`repro.core.witness.WitnessSet`), or
+        #: None for the ordered-only path.
         self.witnesses = witnesses
 
 
@@ -141,12 +141,12 @@ def commit_daemon(
         )
         sent_at = env.now
         # CURP fast path: commits whose file ranges are disjoint from
-        # every unsynced op replicate unordered to the witnesses in one
-        # fast RTT, after which the records count as committed; the
+        # every unsynced op are recorded unordered on the witnesses in
+        # one fast RTT, after which the records count as committed; the
         # ordered MDS sync then proceeds with the records already
         # acknowledged.  Safe because checkout guarantees data-stable:
-        # the extents are durable on >= quorum group members, and a
-        # crash before the MDS sync replays the witnessed ops.
+        # the array has serviced the extents, and a crash before the
+        # MDS sync replays the witnessed ops.
         witnessed = (
             ctx.witnesses is not None
             and ctx.witnesses.try_record(ctx.rpc.client_id, payload.ops)

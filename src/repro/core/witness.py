@@ -1,15 +1,14 @@
 """CURP-style witnesses for commutative 1-RTT commits.
 
 The delayed-commit protocol already guarantees every checked-out commit
-op is *data-stable* -- its extents are durable on the (replicated) disk
-array before the op leaves the client.  What the ordered path still
-pays is the full MDS round trip (queueing + journal service) before an
-fsync can return.  Following CURP ("Exploiting Commutativity For
-Practical Fast Replication"), commits touching **disjoint file ranges
-commute**: they can be recorded unordered on a set of witnesses
-co-located with the storage-group replicas in one fast RTT, letting the
-client treat the op as committed while the ordered MDS sync proceeds in
-the background.
+op is *data-stable* -- its extents have been serviced by the disk array
+before the op leaves the client.  What the ordered path still pays is
+the full MDS round trip (queueing + journal service) before an fsync
+can return.  Following CURP ("Exploiting Commutativity For Practical
+Fast Replication"), commits touching **disjoint file ranges commute**:
+they can be recorded unordered on a set of witnesses in one fast RTT,
+letting the client treat the op as committed while the ordered MDS
+sync proceeds in the background.
 
 Fallback rules (checked per compound batch, all-or-nothing):
 
@@ -20,12 +19,12 @@ Fallback rules (checked per compound batch, all-or-nothing):
 
 Every witness stores the same entries (the client sends to all of them
 and needs all acks inside the fast RTT), so the set is modelled as one
-logical store plus a replication factor.  Entries are removed when the
-background MDS sync completes.  After a whole-cluster crash, unsynced
-witness entries are replayed into the MDS -- deduplicated against its
-durable ``(client, op_id)`` result table, so an op that did reach the
-MDS before the crash is not applied twice (the exactly-once oracle
-checks this).
+logical store whose RTT is the slowest witness's.  Entries are removed
+when the background MDS sync completes.  After a whole-cluster crash,
+unsynced witness entries are replayed into the MDS -- deduplicated
+against its durable ``(client, op_id)`` result table, so an op that did
+reach the MDS before the crash is not applied twice (the exactly-once
+oracle checks this).
 """
 
 from __future__ import annotations
@@ -40,23 +39,19 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 
 
 class WitnessSet:
-    """The witness ensemble of one replicated cluster."""
+    """The witness ensemble of one cluster."""
 
     def __init__(
         self,
         env: "Effects",
-        num_witnesses: int,
         capacity: int,
         rtt: float,
     ) -> None:
-        if num_witnesses < 1:
-            raise ValueError(f"need >= 1 witness, got {num_witnesses}")
         if capacity < 1:
             raise ValueError(f"witness capacity must be >= 1: {capacity}")
         if rtt <= 0:
             raise ValueError(f"witness rtt must be positive: {rtt}")
         self.env = env
-        self.num_witnesses = num_witnesses
         self.capacity = capacity
         #: One fast round trip to the slowest witness (virtual seconds).
         self.rtt = rtt
@@ -145,7 +140,6 @@ class WitnessSet:
 
     def summary(self) -> _t.Dict[str, int]:
         return {
-            "witnesses": self.num_witnesses,
             "capacity": self.capacity,
             "unsynced": len(self._entries),
             "fast_commits": self.fast_commits,

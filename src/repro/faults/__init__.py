@@ -28,7 +28,6 @@ from repro.faults.nemesis import NemesisAction, TrackedNemesis
 from repro.faults.spec import (
     ClientDeath,
     DelayBurst,
-    DiskLoss,
     FaultSpec,
     LossBurst,
     MdsRestart,
@@ -45,7 +44,6 @@ from repro.faults.tracking import (
 __all__ = [
     "ClientDeath",
     "DelayBurst",
-    "DiskLoss",
     "FaultInjector",
     "FaultRecord",
     "FaultSpec",

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from repro.faults.spec import (
     ClientDeath,
     DelayBurst,
-    DiskLoss,
     FaultSpec,
     LossBurst,
     MdsRestart,
@@ -39,8 +38,6 @@ class FaultStats:
     mds_restarts: int = 0
     client_deaths: int = 0
     shard_partitions: int = 0
-    disk_losses: int = 0
-    disk_readmissions: int = 0
     loss_bursts: int = 0
     delay_bursts: int = 0
 
@@ -54,7 +51,6 @@ class FaultStats:
             + self.mds_restarts
             + self.client_deaths
             + self.shard_partitions
-            + self.disk_losses
             + self.loss_bursts
             + self.delay_bursts
         )
@@ -288,39 +284,6 @@ class FaultInjector:
                 name=f"fault-shard-partition-{sp.shard}",
             )
 
-        if spec.disk_losses:
-            group = getattr(cluster.array, "group", None)
-            if group is None:
-                raise ValueError(
-                    "disk_loss requires a replicated cluster; build it "
-                    "with --replication mirror3|block4-2"
-                )
-            members = [dl.member for dl in spec.disk_losses]
-            if len(set(members)) != len(members):
-                raise ValueError(
-                    "disk_loss clauses must name distinct members"
-                )
-            for dl in spec.disk_losses:
-                if dl.member >= group.size:
-                    raise ValueError(
-                        f"disk_loss names member {dl.member}, but group "
-                        f"{group.arrangement.name} has {group.size} members"
-                    )
-            # Conservative budget: even with rebuilds, never schedule
-            # more losses than the arrangement tolerates at once (the
-            # documented failure assumption; see DESIGN section 13).
-            if len(members) > group.arrangement.tolerates:
-                raise ValueError(
-                    f"{len(members)} disk_loss clauses exceed the "
-                    f"{group.arrangement.name} fault budget "
-                    f"(tolerates {group.arrangement.tolerates})"
-                )
-            for dl in spec.disk_losses:
-                env.process(
-                    self._disk_loss(dl),
-                    name=f"fault-disk-loss-{dl.member}",
-                )
-
         for death in spec.client_deaths:
             if death.client_id >= len(cluster.clients):
                 raise ValueError(
@@ -435,37 +398,6 @@ class FaultInjector:
         )
         self.cluster.clients[death.client_id].die()
 
-    def _disk_loss(self, dl: DiskLoss) -> _t.Generator:
-        env = self.cluster.env
-        group = self.cluster.array.group
-        yield env.timeout(max(0.0, dl.at - env.now))
-        self.stats.disk_losses += 1
-        record = self.tracker.begin(
-            "disk_loss", ("member", dl.member), env.now,
-            heal_at=(
-                env.now + dl.rebuild_after
-                if dl.rebuild_after is not None
-                else None
-            ),
-            permanent=dl.rebuild_after is None,
-        )
-        if dl.rebuild_after is not None:
-            self._instant(
-                "disk_loss", member=dl.member,
-                until=env.now + dl.rebuild_after,
-            )
-        else:
-            self._instant("disk_loss", member=dl.member)
-        group.lose(dl.member)
-        if dl.rebuild_after is not None:
-            yield env.timeout(dl.rebuild_after)
-            copied = group.readmit(dl.member)
-            self.stats.disk_readmissions += 1
-            self.tracker.heal(record, env.now)
-            self._instant(
-                "disk_readmit", member=dl.member, resilvered=copied
-            )
-
     def _instant(self, name: str, **args: _t.Any) -> None:
         if self._obs is None:
             return
@@ -495,8 +427,6 @@ class FaultInjector:
             "mds_restarts": self.stats.mds_restarts,
             "client_deaths": self.stats.client_deaths,
             "shard_partitions": self.stats.shard_partitions,
-            "disk_losses": self.stats.disk_losses,
-            "disk_readmissions": self.stats.disk_readmissions,
             "loss_bursts": self.stats.loss_bursts,
             "delay_bursts": self.stats.delay_bursts,
             "shard_partition_drops": sum(

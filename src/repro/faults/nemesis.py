@@ -10,7 +10,7 @@ know which violations are excusable).
 :class:`TrackedNemesis` walks the virtual-time horizon in order,
 drawing inject/heal action pairs from every fault family the
 mini-language knows (loss/delay bursts, client partitions, shard
-partitions, MDS restarts, client deaths, disk loss + readmit).  Each
+partitions, MDS restarts, client deaths).  Each
 action is rendered as a canonical clause string, so the whole plan is
 one parseable :class:`~repro.faults.spec.FaultSpec` -- which buys:
 
@@ -24,9 +24,7 @@ Planning is a pure function of the RNG stream: same seed, same plan.
 Per-scope gating keeps the plan well-formed -- no two actions on the
 same scope overlap, and each scope stays quiet for a convergence
 grace period after a heal so the liveness probes measure the system,
-not the next fault.  Client deaths never take out a majority, and disk
-losses stay inside the arrangement's fault budget (every loss is
-readmitted, so re-silvering is exercised on each one).
+not the next fault.  Client deaths never take out a majority.
 """
 
 from __future__ import annotations
@@ -61,8 +59,8 @@ class NemesisAction:
     clause: str
     scope: Scope
     start: float
-    #: When the fault heals (partition lift, burst end, MDS back up,
-    #: disk readmitted).  For client deaths -- which never "heal" at the
+    #: When the fault heals (partition lift, burst end, MDS back up).
+    #: For client deaths -- which never "heal" at the
     #: protocol level -- this is the reclamation bound: the instant by
     #: which lease GC has fenced and reclaimed the corpse, after which
     #: the death stops excusing violations.
@@ -88,11 +86,11 @@ class TrackedNemesis:
         one deterministic pass.
     horizon:
         Virtual seconds of soak.
-    num_clients, shards, replication:
+    num_clients, shards:
         Cluster shape -- gates which families are drawn (shard
-        partitions need ``shards > 1``, disk losses a replicated
-        group), mirroring the explorer's family gating so arming one
-        axis never perturbs another's draws.
+        partitions need ``shards > 1``), mirroring the explorer's
+        family gating so arming one axis never perturbs another's
+        draws.
     intensity:
         Scales the action rate: mean gap is ``BASE_GAP / intensity``.
     start_at:
@@ -110,7 +108,6 @@ class TrackedNemesis:
         num_clients: int,
         *,
         shards: int = 1,
-        replication: str = "none",
         intensity: float = 1.0,
         start_at: float = 1.0,
         death_recovery: float = 0.5,
@@ -126,7 +123,6 @@ class TrackedNemesis:
         self.horizon = horizon
         self.num_clients = num_clients
         self.shards = shards
-        self.replication = replication
         self.intensity = intensity
         self.start_at = start_at
         self.death_recovery = death_recovery
@@ -142,14 +138,6 @@ class TrackedNemesis:
         # Majority of clients must stay alive for progress detection to
         # stay meaningful (and the check workload to keep churning).
         max_deaths = max(0, (self.num_clients - 1) // 2)
-        disk_pool: _t.List[int] = []
-        if self.replication != "none":
-            from repro.storage.groups import arrangement_named
-
-            arr = arrangement_named(self.replication)
-            # The spec's documented failure assumption: never more
-            # losses than the arrangement tolerates, distinct members.
-            disk_pool = list(range(arr.size))[: arr.tolerates]
 
         families = ["loss_burst", "delay_burst", "partition", "mds_restart"]
         weights = [3.0, 3.0, 3.0, 2.0]
@@ -158,9 +146,6 @@ class TrackedNemesis:
             weights.append(2.0)
         families.append("client_death")
         weights.append(1.0)
-        if disk_pool:
-            families.append("disk_loss")
-            weights.append(1.0)
 
         deadline = self.horizon - TAIL_MARGIN
         t = self.start_at
@@ -170,7 +155,7 @@ class TrackedNemesis:
                 break
             family = rng.weighted_choice(families, weights)
             action = self._draw(family, round(t, 4), rng, busy, dead,
-                                disk_pool, deadline)
+                                deadline)
             if action is not None:
                 actions.append(action)
         return actions
@@ -187,7 +172,6 @@ class TrackedNemesis:
         rng: "StreamRNG",
         busy: _t.Dict[_t.Tuple[_t.Any, ...], float],
         dead: _t.Set[int],
-        disk_pool: _t.List[int],
         deadline: float,
     ) -> _t.Optional[NemesisAction]:
         """One action, or None when the slot is gated off.
@@ -272,18 +256,5 @@ class TrackedNemesis:
                 # The corpse's scope stays busy forever: no point
                 # partitioning it later.
                 busy[("partition", cid)] = float("inf")
-            return action
-        if family == "disk_loss":
-            rebuild = round(rng.uniform(2.0, 6.0), 4)
-            if not disk_pool:
-                return None
-            member = disk_pool[0]
-            action = emit(
-                "disk_loss", f"disk_loss={member}@{t0!r}:{rebuild!r}",
-                ("member", member), ("member", member),
-                round(t0 + rebuild, 4),
-            )
-            if action is not None:
-                disk_pool.pop(0)
             return action
         raise AssertionError(f"unknown family {family!r}")

@@ -23,12 +23,6 @@ A spec is a comma-separated list of clauses::
                            (both directions) during [T0, T1)
     client_death=CID@T     kill client CID at time T (volatile state and
                            queued I/O lost; lease GC reclaims its space)
-    disk_loss=M@T          permanently destroy replica member M of the
-                           storage group at time T (requires a replicated
-                           cluster, ``--replication mirror3|block4-2``)
-    disk_loss=M@T:R        same, but readmit the member R seconds later;
-                           it comes back empty and re-silvers from the
-                           surviving members
     crash@T                whole-cluster crash at time T -- the run is cut
                            short, recovery runs, and the consistency
                            invariants are checked (handled by the harness,
@@ -36,17 +30,18 @@ A spec is a comma-separated list of clauses::
 
 Example: ``loss=0.05,delay=0.1:0.004,mds_restart@0.5:0.2,client_death=2@0.8``.
 
-Multiple ``partition``/``mds_restart``/``client_death``/``disk_loss``
-and windowed burst clauses may be given; at most one ``crash``, and at
-most one *scalar* ``loss`` / ``delay`` each (a duplicate scalar clause
-is a parse error, not a silent overwrite).  Two windowed clauses with
+Multiple ``partition``/``mds_restart``/``client_death`` and windowed
+burst clauses may be given; at most one ``crash``, and at most one
+*scalar* ``loss`` / ``delay`` each (a duplicate scalar clause is a
+parse error, not a silent overwrite).  Two windowed clauses with
 the same scope (the same client's partitions, the same shard's cuts,
 two global loss bursts) must not overlap in time, and a dead client
 cannot die twice -- both are spec validation errors, because a shrunk
 or nemesis-generated schedule carrying them would be ambiguous to
 replay.  Unknown clause keys are parse errors carrying the offending
-token, so a typo like ``disk_los=0@5`` cannot silently arm nothing.  An
-empty string parses to the empty spec, which injects nothing.
+token, so a typo like ``client_deth=0@5`` cannot silently arm
+nothing.  An empty string parses to the empty spec, which injects
+nothing.
 ``FaultSpec.serialize`` renders a spec back into this language such that
 ``parse(spec.serialize()) == spec``.
 """
@@ -173,30 +168,6 @@ class ClientDeath:
 
 
 @dataclass(frozen=True)
-class DiskLoss:
-    """Replica member ``member`` destroyed at ``at``.
-
-    The member's disk contents are gone (not merely unreachable).  With
-    ``rebuild_after`` set, the member is readmitted that many seconds
-    later, empty, and re-silvers from the surviving members.
-    """
-
-    member: int
-    at: float
-    rebuild_after: _t.Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.member < 0 or self.at < 0:
-            raise ValueError(
-                f"bad disk_loss member={self.member} at={self.at}"
-            )
-        if self.rebuild_after is not None and self.rebuild_after <= 0:
-            raise ValueError(
-                f"bad disk_loss rebuild window {self.rebuild_after}"
-            )
-
-
-@dataclass(frozen=True)
 class FaultSpec:
     """A complete fault schedule for one run."""
 
@@ -212,7 +183,6 @@ class FaultSpec:
     shard_partitions: _t.Tuple[ShardPartition, ...] = field(
         default_factory=tuple
     )
-    disk_losses: _t.Tuple[DiskLoss, ...] = field(default_factory=tuple)
     #: Windowed loss/delay bursts (the tracked nemesis's replayable
     #: actions); they stack on top of the scalar background rates.
     loss_bursts: _t.Tuple[LossBurst, ...] = field(default_factory=tuple)
@@ -294,7 +264,6 @@ class FaultSpec:
             and not self.mds_restarts
             and not self.client_deaths
             and not self.shard_partitions
-            and not self.disk_losses
             and not self.loss_bursts
             and not self.delay_bursts
         )
@@ -310,7 +279,6 @@ class FaultSpec:
         mds_restarts: _t.List[MdsRestart] = []
         client_deaths: _t.List[ClientDeath] = []
         shard_partitions: _t.List[ShardPartition] = []
-        disk_losses: _t.List[DiskLoss] = []
         crash_at: _t.Optional[float] = None
         for raw in text.split(","):
             clause = raw.strip()
@@ -399,22 +367,6 @@ class FaultSpec:
                     client_deaths.append(
                         ClientDeath(client_id=int(cid_s), at=float(at_s))
                     )
-                elif clause.startswith("disk_loss="):
-                    member_s, rest = clause[len("disk_loss="):].split("@")
-                    parts = rest.split(":")
-                    if len(parts) == 1:
-                        rebuild: _t.Optional[float] = None
-                    elif len(parts) == 2:
-                        rebuild = float(parts[1])
-                    else:
-                        raise ValueError("expected disk_loss=M@T[:R]")
-                    disk_losses.append(
-                        DiskLoss(
-                            member=int(member_s),
-                            at=float(parts[0]),
-                            rebuild_after=rebuild,
-                        )
-                    )
                 elif clause.startswith("crash@"):
                     if crash_at is not None:
                         raise ValueError("at most one crash clause")
@@ -435,7 +387,6 @@ class FaultSpec:
             mds_restarts=tuple(mds_restarts),
             client_deaths=tuple(client_deaths),
             shard_partitions=tuple(shard_partitions),
-            disk_losses=tuple(disk_losses),
             loss_bursts=tuple(loss_bursts),
             delay_bursts=tuple(delay_bursts),
             crash_at=crash_at,
@@ -470,11 +421,6 @@ class FaultSpec:
             clauses.append(
                 f"shard_partition={sp.shard}@{sp.start!r}-{sp.end!r}"
             )
-        for dl in self.disk_losses:
-            suffix = (
-                "" if dl.rebuild_after is None else f":{dl.rebuild_after!r}"
-            )
-            clauses.append(f"disk_loss={dl.member}@{dl.at!r}{suffix}")
         if self.crash_at is not None:
             clauses.append(f"crash@{self.crash_at!r}")
         return ",".join(clauses)

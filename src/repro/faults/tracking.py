@@ -19,10 +19,10 @@ truth -- a :class:`FaultTracker` holding :class:`FaultRecord` entries
 A record's **scope** names its blast radius: ``("net", "*")`` for
 link-level loss/delay (every RPC may be affected), ``("client", cid)``
 for partitions and deaths, ``("shard", k)`` / ``("mds", "*")`` for
-metadata faults, ``("member", m)`` for disk losses.  The wildcard
-``"*"`` matches any instance of its kind, and the cluster-wide scope
-``("*", "*")`` overlaps everything -- the conservative default for
-oracle violations that cannot be attributed more precisely.
+metadata faults.  The wildcard ``"*"`` matches any instance of its
+kind, and the cluster-wide scope ``("*", "*")`` overlaps everything --
+the conservative default for oracle violations that cannot be
+attributed more precisely.
 
 Everything here is pure bookkeeping: no events scheduled, no RNG
 consumed (the zero-perturbation contract of :mod:`repro.obs` holds for
@@ -252,8 +252,6 @@ def _scope_from_args(name: str, args: _t.Mapping[str, _t.Any]) -> Scope:
     """Best-effort blast radius from a fault event's arguments."""
     if "client" in args and args["client"] is not None:
         return ("client", int(args["client"]))
-    if "member" in args and args["member"] is not None:
-        return ("member", int(args["member"]))
     if "shard" in args and args["shard"] is not None:
         return ("shard", int(args["shard"]))
     if name.startswith("mds_"):

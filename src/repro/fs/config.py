@@ -84,15 +84,11 @@ class ClusterConfig:
     #: derive from ``commit_queue_capacity``).
     degrade_backlog: _t.Optional[int] = None
 
-    #: Storage-group replication arrangement for the disk array:
-    #: ``none`` (single copy, the default -- byte-identical to a build
-    #: without the replication machinery), ``mirror3`` (3-way mirror) or
-    #: ``block4-2`` (4+2 Reed-Solomon).  Replicated delayed-commit
-    #: clusters also arm the CURP-style 1-RTT witness commit path.
-    replication: str = "none"
-    #: Per-witness slot budget for unsynced commutative commits; a full
-    #: witness forces the ordered fallback path.
-    witness_capacity: int = 64
+    #: CURP witness slot budget for unsynced commutative commits.  ``0``
+    #: (the default) keeps the ordered commit path only; a positive
+    #: budget arms the 1-RTT witness path in delayed and unordered
+    #: modes, and a full witness forces the ordered fallback.
+    witness_capacity: int = 0
 
     #: Allocation groups on the volume.
     num_allocation_groups: int = 8
@@ -139,17 +135,9 @@ class ClusterConfig:
                     f"volume too small for {self.mds.shards} shards x "
                     f"{self.num_allocation_groups} allocation groups"
                 )
-        if self.replication != "none":
-            from repro.storage.groups import ARRANGEMENTS
-
-            if self.replication not in ARRANGEMENTS:
-                raise ValueError(
-                    f"unknown replication {self.replication!r}; choose "
-                    f"from {sorted(ARRANGEMENTS)}"
-                )
-        if self.witness_capacity < 1:
+        if self.witness_capacity < 0:
             raise ValueError(
-                f"witness_capacity must be >= 1, got {self.witness_capacity}"
+                f"witness_capacity must be >= 0, got {self.witness_capacity}"
             )
         # Canonical config normalization: the MDS hands out chunks of
         # the size the clients pool, so a delegation_chunk override on
@@ -168,12 +156,6 @@ class ClusterConfig:
         return dataclasses.replace(
             self, mds=dataclasses.replace(self.mds, shards=shards)
         )
-
-    def with_replication(self, replication: str) -> "ClusterConfig":
-        """This config with the given replication arrangement."""
-        if replication == self.replication:
-            return self
-        return dataclasses.replace(self, replication=replication)
 
     # -- the three Redbud configurations of Fig. 4/5 -------------------------
 

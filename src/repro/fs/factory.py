@@ -75,7 +75,7 @@ def shape_error(
     system: str,
     *,
     shards: _t.Optional[int] = None,
-    replication: _t.Optional[str] = None,
+    witness_capacity: int = 0,
     faults: _t.Optional[FaultSpec] = None,
     check: bool = False,
     seed_bug: _t.Optional[str] = None,
@@ -83,12 +83,12 @@ def shape_error(
 ) -> _t.Optional[str]:
     """Why ``system`` cannot take this shape, or ``None``.
 
-    Sharding, replication, faults (a crash cut included), ``--check``
+    Sharding, witnesses, faults (a crash cut included), ``--check``
     and planted bugs are Redbud's alone.  Aggregated client nodes
     (``processes``) refuse ``client_death`` clauses only: a death
     addresses one workload personality by index, and a node hosts many.
-    Every other clause family targets links, shards or storage members,
-    which aggregation leaves intact.
+    Every other clause family targets links or shards, which
+    aggregation leaves intact.
     """
     if not system.startswith("redbud"):
         for flag, used in (
@@ -98,7 +98,7 @@ def shape_error(
                 and (not faults.empty or faults.crash_at is not None),
             ),
             ("--shards", shards is not None and shards > 1),
-            ("--replication", replication not in (None, "none")),
+            ("--witness-capacity", witness_capacity > 0),
             ("--check", check),
             ("--seed-bug", seed_bug not in (None, "", "none")),
         ):
@@ -134,11 +134,9 @@ def build_cluster(
     synchronous.  ``obs`` is an optional :class:`repro.obs.Instrumentation`
     bundle; when given, the cluster traces causal spans and publishes
     metrics.  ``shards`` (redbud systems only) splits the metadata
-    service into that many shards.  ``replication`` (redbud systems
-    only) puts a replicated storage group behind the disk array
-    (``mirror3`` / ``block4-2``); ``replication="none"`` is byte-identical
-    to an unreplicated build.  Any other keyword lands on
-    :class:`ClusterConfig` -- notably ``client_processes`` (aggregate
+    service into that many shards.  Any other keyword lands on
+    :class:`ClusterConfig` -- notably ``witness_capacity`` (CURP
+    witnesses, redbud systems only) and ``client_processes`` (aggregate
     client nodes: ``num_clients`` personalities multiplexed onto that
     many simulated nodes, see ``repro.workloads.aggregate``).
 
@@ -157,14 +155,13 @@ def build_cluster(
                 f"ClusterConfig's {system.num_clients}"
             )
         system, config = "redbud", system
-        shards = replication = None
+        shards = None
     else:
         if system not in _CONFIGS:
             raise ValueError(
                 f"unknown system {system!r}; pick from {SYSTEMS}"
             )
         shards = config_kw.pop("shards", None)
-        replication = config_kw.pop("replication", None)
         config = _CONFIGS[system](
             num_clients=7 if num_clients is None else num_clients,
             **config_kw,
@@ -172,7 +169,7 @@ def build_cluster(
     error = shape_error(
         system,
         shards=shards,
-        replication=replication,
+        witness_capacity=config.witness_capacity,
         faults=faults,
         seed_bug=seed_bug,
         processes=config.client_processes,
@@ -181,8 +178,6 @@ def build_cluster(
         raise ValueError(error)
     if shards is not None:
         config = config.with_shards(shards)
-    if replication is not None:
-        config = config.with_replication(replication)
     armed = faults is not None and not faults.empty
     if armed and config.retry is None:
         config = dataclasses.replace(config, retry=RetryPolicy())

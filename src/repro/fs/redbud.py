@@ -135,33 +135,22 @@ class RedbudCluster(BaseCluster):
             num_shards, config.disk.volume_size // num_shards
         )
 
-        # Replicated storage group + CURP witnesses (strictly opt-in:
-        # ``replication="none"`` builds neither, touches no RNG stream,
-        # and keeps the blktrace byte-identical -- a golden test holds
-        # this line).
-        self.group = None
+        # CURP witnesses (opt-in: ``witness_capacity=0`` builds none and
+        # keeps the ordered path only).  They touch no RNG stream.
         self.witnesses = None
-        if config.replication != "none":
-            from repro.storage.groups import StorageGroup, arrangement_named
+        if config.witness_capacity > 0 and config.commit_mode in (
+            "delayed", "unordered"
+        ):
+            from repro.core.witness import WitnessSet
 
-            self.group = StorageGroup(
+            self.witnesses = WitnessSet(
                 env,
-                arrangement_named(config.replication),
-                rng=self.root_rng.stream("group"),
+                capacity=config.witness_capacity,
+                # One fast round trip to the slowest witness: wire
+                # propagation out and back plus a small record cost.
+                # Deterministic -- no RNG.
+                rtt=2 * config.link.propagation + 1e-4,
             )
-            self.array.attach_group(self.group)
-            if config.commit_mode in ("delayed", "unordered"):
-                from repro.core.witness import WitnessSet
-
-                self.witnesses = WitnessSet(
-                    env,
-                    num_witnesses=self.group.size,
-                    capacity=config.witness_capacity,
-                    # One fast round trip to the slowest witness: wire
-                    # propagation out and back plus a small record cost.
-                    # Deterministic -- no RNG.
-                    rtt=2 * config.link.propagation + 1e-4,
-                )
         self.ports = [RpcServerPort(env) for _ in range(num_shards)]
 
         downlinks: _t.Dict[int, Link] = {}
@@ -316,8 +305,6 @@ class RedbudCluster(BaseCluster):
             extras["ops_committed"] = sum(
                 c.daemon_ctx.stats.ops_committed for c in self.clients
             )
-        if self.group is not None:
-            extras["storage_group"] = self.group.summary()
         if self.witnesses is not None:
             extras["witnesses"] = self.witnesses.summary()
         return extras

@@ -168,23 +168,6 @@ def register_redbud_gauges(obs: Instrumentation, cluster: _t.Any) -> None:
     reg.gauge("array.utilization", lambda: cluster.array.utilization)
     reg.gauge("array.ops_served", lambda: cluster.array.ops_served)
     reg.gauge("array.bytes_served", lambda: cluster.array.bytes_served)
-    group = getattr(cluster, "group", None)
-    if group is not None:
-        reg.gauge("storage.group.members", lambda g=group: g.size)
-        reg.gauge(
-            "storage.group.alive", lambda g=group: g.alive_count
-        )
-        reg.gauge(
-            "storage.group.losses", lambda g=group: g.losses
-        )
-        reg.gauge(
-            "storage.group.replicated_bytes",
-            lambda g=group: g.replicated_bytes,
-        )
-        reg.gauge(
-            "storage.group.resilvered_bytes",
-            lambda g=group: g.resilvered_bytes,
-        )
     witnesses = getattr(cluster, "witnesses", None)
     if witnesses is not None:
         reg.gauge(

@@ -213,11 +213,6 @@ class DiskArray:
         #: means every offset maps to shard 0.
         self._num_shards = 1
         self._shard_slice_size = 0
-        #: Optional replicated storage group
-        #: (:class:`repro.storage.groups.StorageGroup`).  ``None`` -- the
-        #: default, and the only state for ``replication=none`` -- keeps
-        #: the serve loop byte-identical to an unreplicated array.
-        self.group = None
 
     def configure_shards(self, num_shards: int, slice_size: int) -> None:
         """Install the shard -> volume-slice map (sharded metadata)."""
@@ -276,12 +271,6 @@ class DiskArray:
         self._schedulers.append(scheduler)
         # The queue may arrive with requests already in it.
         self._mark_changed(range(self.params.num_spindles))
-
-    def attach_group(self, group) -> None:
-        """Arm a replicated storage group: every completed WRITE fans
-        out to the group's members before it counts as stable, and the
-        slowest live secondary's ack gates the completion."""
-        self.group = group
 
     def _mark_changed(self, spindles: _t.Iterable[int]) -> None:
         for spindle in spindles:
@@ -456,15 +445,6 @@ class DiskArray:
             self.ops_served += 1
             self.bytes_served += request.length
             if request.op == WRITE:
-                if self.group is not None:
-                    # Replicated group: fan the extent to every live
-                    # member and wait out the slowest secondary ack
-                    # before the write counts as stable/complete.
-                    extra = self.group.replicate(
-                        request.start, request.end
-                    )
-                    if extra > 0.0:
-                        yield env.timeout(extra)
                 self.stable.add(request.start, request.end)
             if self.trace is not None:
                 self.trace.record(

@@ -81,6 +81,8 @@ def test_run_check_flag_rejects_non_redbud(capsys):
          "--seed-bug", "dedup"],
         ["slo", "--systems", "nfs3", "--shards", "2"],
         ["slo", "--systems", "nfs3", "--faults", "loss=0.1"],
+        ["run", "--system", "nfs3", "--duration", "4",
+         "--witness-capacity", "16"],
     ],
 )
 def test_run_refuses_redbud_only_flags_before_building(
@@ -126,11 +128,11 @@ def test_check_parser_defaults():
     assert args.clients == 3
     assert args.mode == "delayed"
     assert args.seed_bug == "none"
-    assert args.replication == "none"
+    assert args.witness_capacity == 0
     with pytest.raises(SystemExit):
         build_parser().parse_args(["check", "--mode", "bogus"])
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["check", "--replication", "raid9"])
+        build_parser().parse_args(["check", "--witness-capacity", "many"])
 
 
 @pytest.mark.check
@@ -155,14 +157,14 @@ def test_check_json_failure_exits_nonzero(capsys, tmp_path):
     assert written["ok"] is False
 
 
-def test_check_replicated_small_budget(capsys):
+def test_check_witnessed_small_budget(capsys):
     code = main(
         [
             "check", "--budget", "4", "--seed", "0",
-            "--replication", "mirror3", "--json",
+            "--witness-capacity", "16", "--json",
         ]
     )
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is True
-    assert payload["replication"] == "mirror3"
+    assert payload["witness_capacity"] == 16

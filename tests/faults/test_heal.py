@@ -8,7 +8,6 @@ fit), then the family's convergence probe must report clean:
 
 - partition lift   -> traffic resumes, degradation reverts, backlog drains
 - MDS restart      -> server back up, lease GC scanning again
-- disk readmit     -> re-silver completed after the loss
 - witness backlog  -> fully replayed below capacity after network churn
 """
 
@@ -20,18 +19,18 @@ from repro.check.soak import (
     judge_converged,
     probe_client_converged,
     probe_mds_converged,
-    probe_resilver_complete,
     probe_witness_converged,
 )
 
 pytestmark = pytest.mark.faults
 
 
-def run(clauses, *, seed=0, clients=3, replication="none", shards=1,
+def run(clauses, *, seed=0, clients=3, witness_capacity=0, shards=1,
         span=20.0, seed_bug=None):
     return run_schedule(
         compose(clauses), seed=seed, clients=clients, shards=shards,
-        replication=replication, run_span=span, seed_bug=seed_bug,
+        witness_capacity=witness_capacity, run_span=span,
+        seed_bug=seed_bug,
         workload=SoakWorkload(),
     )
 
@@ -92,35 +91,15 @@ def test_sharded_restart_heals_only_its_shard():
     assert probe_mds_converged(outcome.cluster) == []
 
 
-def test_disk_readmit_completes_resilver():
-    outcome = run(
-        ["disk_loss=1@5.0:4.0"], replication="mirror3"
-    )
-    assert outcome.verdict.ok
-    cluster = outcome.cluster
-    assert probe_resilver_complete(cluster, 1, 5.0) == []
-    group = cluster.group
-    assert group.members[1].alive
-    assert group.last_resilver_at is not None
-    assert group.last_resilver_at >= 9.0
-
-
-def test_unreadmitted_disk_fails_the_resilver_probe():
-    outcome = run(["disk_loss=1@5.0"], replication="mirror3")
-    findings = probe_resilver_complete(outcome.cluster, 1, 5.0)
-    assert any(
-        kind == "liveness-resilver-incomplete" for kind, _ in findings
-    )
-
-
 def test_witness_backlog_replays_after_network_churn():
     outcome = run(
         ["loss=0.1@5.0-8.0", "delay=0.2:0.01@9.0-12.0"],
-        replication="mirror3",
+        witness_capacity=16,
     )
     assert outcome.verdict.ok
     cluster = outcome.cluster
     assert cluster.witnesses is not None
+    assert cluster.witnesses.fast_commits > 0
     assert probe_witness_converged(cluster) == []
     assert len(cluster.witnesses) < cluster.witnesses.capacity
 

@@ -6,8 +6,8 @@ The whole soak harness leans on three properties of the planner:
    two soaks at the same seed replay byte-identically.
 2. *Validity* -- every plan composes into one parseable FaultSpec (no
    same-scope overlaps), which is what makes ddmin shrinking free.
-3. *Safety* -- deaths never take a majority, disk losses stay inside
-   the arrangement's fault budget, nothing lands in the tail margin.
+3. *Safety* -- deaths never take a majority, nothing lands in the
+   tail margin.
 """
 
 import pytest
@@ -17,9 +17,9 @@ from repro.faults.nemesis import TAIL_MARGIN, TrackedNemesis
 from repro.util.rng import StreamRNG
 
 SHAPES = [
-    dict(num_clients=4, shards=1, replication="none"),
-    dict(num_clients=4, shards=4, replication="none"),
-    dict(num_clients=6, shards=2, replication="mirror3"),
+    dict(num_clients=4, shards=1),
+    dict(num_clients=4, shards=4),
+    dict(num_clients=6, shards=2),
 ]
 
 
@@ -30,7 +30,6 @@ def plan(seed=0, horizon=3600.0, intensity=1.0, **shape):
         horizon,
         shape["num_clients"],
         shards=shape["shards"],
-        replication=shape["replication"],
         intensity=intensity,
     )
     return nemesis.sample()
@@ -70,17 +69,6 @@ def test_plan_respects_safety_constraints(shape):
             assert action.scope[1] not in dead
         if action.kind == "client_death":
             dead.add(action.scope[1])
-    if shape["replication"] != "none":
-        from repro.storage.groups import arrangement_named
-
-        losses = [a for a in actions if a.kind == "disk_loss"]
-        arr = arrangement_named(shape["replication"])
-        assert len(losses) <= arr.tolerates
-        assert len({a.scope[1] for a in losses}) == len(losses)
-        # Every loss is readmitted (rebuild clause), exercising re-silver.
-        assert all(":" in a.clause.split("@", 1)[1] for a in losses)
-    else:
-        assert not any(a.kind == "disk_loss" for a in actions)
 
 
 def test_no_same_scope_overlap_with_convergence_gap():

@@ -4,7 +4,6 @@ import pytest
 
 from repro.faults import (
     ClientDeath,
-    DiskLoss,
     FaultSpec,
     MdsRestart,
     Partition,
@@ -54,10 +53,12 @@ def test_parse_unknown_clause_rejected():
         "partition=1@0.5",  # missing -end
         "mds_restart@0.5",  # missing :downtime
         "client_death=0.8",  # missing @at
+        "disk_loss=1@0.3",  # a retired clause: refused by its key
     ],
 )
 def test_parse_malformed_clause_rejected(text):
-    with pytest.raises(ValueError, match="malformed fault clause"):
+    kind = "unknown" if text.startswith("disk_loss=") else "malformed"
+    with pytest.raises(ValueError, match=f"{kind} fault clause"):
         FaultSpec.parse(text)
 
 
@@ -157,48 +158,11 @@ def test_random_schedule_is_deterministic_and_complete():
     assert a.partitions[0].client_id != a.client_deaths[0].client_id
 
 
-def test_parse_disk_loss():
-    spec = FaultSpec.parse("disk_loss=1@0.3")
-    assert spec.disk_losses == (DiskLoss(member=1, at=0.3),)
-    assert spec.disk_losses[0].rebuild_after is None
-    assert not spec.empty
-    spec = FaultSpec.parse("disk_loss=2@0.3:0.15")
-    assert spec.disk_losses == (
-        DiskLoss(member=2, at=0.3, rebuild_after=0.15),
-    )
-
-
-def test_disk_loss_round_trips_exactly():
-    for text in (
-        "disk_loss=0@0.30000000000000004",
-        "disk_loss=1@0.2:0.1",
-        "loss=0.05,disk_loss=1@0.2:0.1,disk_loss=2@0.35,crash@0.5",
-    ):
-        spec = FaultSpec.parse(text)
-        assert spec.serialize() == text
-        assert FaultSpec.parse(spec.serialize()) == spec
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "disk_loss=1",  # missing @at
-        "disk_loss=x@0.3",
-        "disk_loss=1@0.3:0.1:0.2",  # too many parts
-        "disk_loss=1@0.3:0",  # rebuild window must be positive
-        "disk_loss=-1@0.3",
-    ],
-)
-def test_parse_malformed_disk_loss_rejected(text):
-    with pytest.raises(ValueError, match="malformed fault clause"):
-        FaultSpec.parse(text)
-
-
 def test_parse_unknown_clause_carries_offending_token():
-    """A typo like ``disk_los=0@5`` must fail loudly, naming the token
-    -- not silently arm nothing."""
-    with pytest.raises(ValueError, match=r"disk_los=0@5"):
-        FaultSpec.parse("loss=0.1,disk_los=0@5")
+    """A typo like ``client_deth=0@5`` must fail loudly, naming the
+    token -- not silently arm nothing."""
+    with pytest.raises(ValueError, match=r"client_deth=0@5"):
+        FaultSpec.parse("loss=0.1,client_deth=0@5")
     with pytest.raises(ValueError, match=r"partitio=1@0.2-0.5"):
         FaultSpec.parse("partitio=1@0.2-0.5")
 

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from repro.faults import (
     ClientDeath,
     DelayBurst,
-    DiskLoss,
     FaultSpec,
     LossBurst,
     MdsRestart,
@@ -94,16 +93,6 @@ def fault_specs(draw):
             st.lists(st.integers(0, 5), unique=True, max_size=3)
         )
     )
-    disk_losses = tuple(
-        DiskLoss(
-            member=draw(st.integers(0, 5)),
-            at=draw(st.floats(0.0, 50.0, allow_nan=False)),
-            rebuild_after=draw(
-                st.none() | st.floats(0.01, 5.0, allow_nan=False)
-            ),
-        )
-        for _ in range(draw(st.integers(0, 2)))
-    )
     return FaultSpec(
         loss=loss if loss is not None else 0.0,
         delay_prob=delay[0] if delay is not None else 0.0,
@@ -114,7 +103,6 @@ def fault_specs(draw):
         shard_partitions=shard_partitions,
         mds_restarts=mds_restarts,
         client_deaths=client_deaths,
-        disk_losses=disk_losses,
         crash_at=draw(st.none() | st.floats(0.0, 50.0, allow_nan=False)),
     )
 

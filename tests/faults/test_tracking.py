@@ -11,7 +11,7 @@ def test_scopes_overlap_rules():
     assert scopes_overlap(("client", "*"), ("client", 7))
     assert scopes_overlap(("net", "*"), ("net", 2))
     assert scopes_overlap(CLUSTER_WIDE, ("client", 3))
-    assert scopes_overlap(("member", 1), CLUSTER_WIDE)
+    assert scopes_overlap(("shard", 1), CLUSTER_WIDE)
 
 
 def test_record_lifetimes():
@@ -35,7 +35,7 @@ def test_record_lifetimes():
 
 def test_heal_is_idempotent_and_overrides_schedule():
     tracker = FaultTracker()
-    record = tracker.begin("disk_loss", ("member", 2), 1.0, heal_at=5.0)
+    record = tracker.begin("partition", ("client", 2), 1.0, heal_at=5.0)
     tracker.heal(record, 4.0)
     tracker.heal(record, 9.0)  # second heal ignored
     assert record.healed_at == 4.0
@@ -97,7 +97,7 @@ def test_from_tracer_roundtrip():
             FakeEvent("partition_start", 0.2, client=1, until=0.5),
             FakeEvent("mds_crash", 0.3),
             FakeEvent("commit_apply", 0.4, cat="rpc"),  # not a fault
-            FakeEvent("disk_loss", 0.6, member=2),
+            FakeEvent("shard_partition_end", 0.6, shard=2),
         ]
 
     tracker = FaultTracker.from_tracer(FakeTracer())
@@ -105,6 +105,6 @@ def test_from_tracer_roundtrip():
     assert kinds == [
         ("partition_start", ("client", 1), False),
         ("mds_crash", ("mds", "*"), True),
-        ("disk_loss", ("member", 2), True),
+        ("shard_partition_end", ("shard", 2), True),
     ]
     assert tracker.records[0].healed_at == 0.5

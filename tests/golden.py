@@ -146,31 +146,36 @@ TRACE_GOLDEN = {
 }
 
 
-#: ``REPORTS`` recipes, captured on the tree whose explorer, soak and
-#: crash launchers each still hand-rolled their own open-ended driver:
-#: name -> digest.
+#: ``REPORTS`` digests: name -> digest.  The recipes' reports were first
+#: pinned on the tree whose explorer, soak and crash launchers each
+#: still hand-rolled their own open-ended driver (CLI recipes: on the
+#: tree whose verbs armed retry, seed bugs and faults by hand;
+#: ``soak-0.25h-quiet``: on the tree whose soak armed RPC retry whether
+#: or not its nemesis plan held any action).  Every digest was re-pinned
+#: once, when storage-group replication was retired: each report is
+#: the previous one with the ``replication``, ``disk_losses`` and
+#: ``disk_readmissions`` keys removed and a ``witness_capacity`` key
+#: added to check and soak reports, and nothing else changed
+#: (``scripts/report_key_diff.py`` shows it against a checkout of the
+#: earlier tree).
 REPORT_GOLDEN = {
     "check-budget16": (
-        "3354e85412fb6849bb75739abdba3eae549a0be6087e8ea32231e28b83a9bedc"
+        "ebd91a309fce96869e97fff9e66181e8e12e76982ddcf63c0910c5927a2ca09c"
     ),
     "check-budget16-shards2": (
-        "701e1f24b253a79e6fdacf0d70290172b6959e1c199a7d4b06c79a6c3e3f8092"
+        "83ca3c5a9b723c648be9f265ac03d05ed5b0b01769e6d1e9e88efceec89cee6b"
     ),
     "soak-0.25h": (
-        "c4b5d3e9f6caab85b37281a05feb6bfba6ce6963f4a73665ce74853d6d5f1668"
+        "6f441328567ffb7f3fceaab8a8a1645d294eba1a8accdf18c3c512f906233e74"
     ),
-    # Captured on the tree whose CLI verbs, explorer and soak each
-    # armed retry, seed bugs and faults by hand beside ``build_cluster``.
     "run-faults-degrade-check": (
-        "fe26bcbcfd8b20c57c6cc7c79b0c38fb525666e71062d04c631454798f2b066b"
+        "e0439001529a7c6f9af115e229406beb1e00ae7ae4e0584a9d6d5581eb4d66f3"
     ),
     "slo-shards2-restart": (
-        "c9c9501b3154520d84721cba0e7dd9bf5a9de932be3df83005e2171daf18ad56"
+        "06cff56105ce0742ec9bdf4816362629fea09b85a656c9de27cf2f140a8889d2"
     ),
-    # Captured on the tree whose soak armed RPC retry whether or not
-    # its nemesis plan held any action (this one's plan is empty).
     "soak-0.25h-quiet": (
-        "3eeedac6a8a7ee564fc34daef0e801468de6e45355571dc8f3525fb1efc012fa"
+        "bad8231544740f401c1fd6a6c9fb87afe402fb9d4737f22c0440ddcfe55a95ec"
     ),
 }
 
@@ -242,7 +247,7 @@ def blktrace_digest(cluster):
 
 def trace_digest(system, workload, **cell):
     """Digest of one run: ``cell`` is a run shape plus any
-    ``build_cluster`` keyword (``shards=``, ``replication=``, ...)."""
+    ``build_cluster`` keyword (``shards=``, ``witness_capacity=``, ...)."""
     return blktrace_digest(run_cell(system, workload, **cell))
 
 
