@@ -18,27 +18,15 @@ import pytest
 from benchmarks.common import ResultBoard, run_once
 from repro.analysis import Table
 from repro.fs import build_cluster
-from repro.workloads import (
-    FileserverWorkload,
-    NpbBtIoWorkload,
-    VarmailWorkload,
-    WebproxyWorkload,
-    XcdnWorkload,
-)
+from repro.workloads import PAPER_WORKLOADS
 
 SYSTEMS = ["pvfs2", "nfs3", "redbud-original", "redbud-delayed"]
 
 WORKLOADS = {
-    "fileserver": lambda: FileserverWorkload(seed_files_per_client=15),
-    "varmail": lambda: VarmailWorkload(seed_files_per_client=15),
-    "webproxy": lambda: WebproxyWorkload(seed_files_per_client=20),
-    "xcdn-32K": lambda: XcdnWorkload(
-        file_size=32 * 1024, seed_files_per_client=25
-    ),
-    "xcdn-1M": lambda: XcdnWorkload(
-        file_size=1024 * 1024, seed_files_per_client=8
-    ),
-    "npb-bt": lambda: NpbBtIoWorkload(),
+    name: PAPER_WORKLOADS[name]
+    for name in (
+        "fileserver", "varmail", "webproxy", "xcdn-32K", "xcdn-1M", "npb-bt"
+    )
 }
 
 DURATION = 2.5

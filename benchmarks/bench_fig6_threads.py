@@ -16,21 +16,12 @@ from benchmarks.common import ResultBoard, run_once
 from repro.analysis import Table, dual_series, summarize_pool_samples
 from repro.analysis.timeseries import TimeSeries
 from repro.fs import ClusterConfig, RedbudCluster
-from repro.workloads import (
-    FileserverWorkload,
-    NpbBtIoWorkload,
-    VarmailWorkload,
-    WebproxyWorkload,
-    XcdnWorkload,
-)
+from repro.workloads import PAPER_WORKLOADS
 
+#: The figure labels 32 KiB xcdn ``xcdn``.
 WORKLOADS = {
-    "varmail": lambda: VarmailWorkload(seed_files_per_client=15),
-    "fileserver": lambda: FileserverWorkload(seed_files_per_client=15),
-    "webproxy": lambda: WebproxyWorkload(seed_files_per_client=20),
-    "xcdn": lambda: XcdnWorkload(file_size=32 * 1024,
-                                 seed_files_per_client=25),
-    "npb-bt": lambda: NpbBtIoWorkload(),
+    label: PAPER_WORKLOADS[{"xcdn": "xcdn-32K"}.get(label, label)]
+    for label in ("varmail", "fileserver", "webproxy", "xcdn", "npb-bt")
 }
 MAX_THREADS = 9
 DURATION = 3.0

@@ -58,37 +58,17 @@ DEFAULT_OUT = os.path.join(_REPO_ROOT, "BENCH_sim.json")
 # Sweep specs
 # ---------------------------------------------------------------------------
 
-#: Workload factory specs: name -> (class name, constructor kwargs).
-#: Kept as plain data so a cell config is JSON-serialisable (the cache
-#: key hashes it) and picklable (the executor ships it to workers).
-WORKLOAD_SPECS: _t.Dict[str, _t.Tuple[str, _t.Dict[str, _t.Any]]] = {
-    "fileserver": ("FileserverWorkload", {"seed_files_per_client": 15}),
-    "varmail": ("VarmailWorkload", {"seed_files_per_client": 15}),
-    "webproxy": ("WebproxyWorkload", {"seed_files_per_client": 20}),
-    "xcdn-32K": (
-        "XcdnWorkload",
-        {"file_size": 32 * 1024, "seed_files_per_client": 25},
-    ),
-    "xcdn-64K": (
-        "XcdnWorkload",
-        {"file_size": 64 * 1024, "seed_files_per_client": 15},
-    ),
-    "xcdn-1M": (
-        "XcdnWorkload",
-        {"file_size": 1024 * 1024, "seed_files_per_client": 8},
-    ),
-    # Lean per-personality footprint for the client-count scaling sweep:
-    # at 10k clients the default seed corpus and thread count would
-    # swamp the volume and the calendar before measurement starts.
-    "xcdn-scale": (
-        "XcdnWorkload",
-        {
-            "file_size": 32 * 1024,
-            "seed_files_per_client": 2,
-            "threads_per_client": 2,
-        },
-    ),
-    "npb-bt": ("NpbBtIoWorkload", {}),
+#: Workload cells beyond :data:`repro.workloads.PAPER_WORKLOADS`, as
+#: ``XcdnWorkload`` constructor kwargs.  ``xcdn-scale`` is a lean
+#: per-personality footprint for the client-count scaling sweep: at 10k
+#: clients the default seed corpus and thread count would swamp the
+#: volume and the calendar before measurement starts.
+SCALE_WORKLOADS: _t.Dict[str, _t.Dict[str, int]] = {
+    "xcdn-scale": {
+        "file_size": 32 * 1024,
+        "seed_files_per_client": 2,
+        "threads_per_client": 2,
+    },
 }
 
 REDBUD_SYSTEMS = ["redbud-original", "redbud-delayed"]
@@ -302,11 +282,14 @@ class ResultCache:
 
 def run_cell(cell: _t.Dict[str, _t.Any]) -> _t.Dict[str, _t.Any]:
     """Run one simulation cell; returns a JSON-friendly result record."""
-    import repro.workloads as workloads
     from repro.fs import build_cluster
+    from repro.workloads import PAPER_WORKLOADS, XcdnWorkload
 
-    cls_name, kwargs = WORKLOAD_SPECS[cell["workload"]]
-    workload = getattr(workloads, cls_name)(**kwargs)
+    name = cell["workload"]
+    if name in SCALE_WORKLOADS:
+        workload = XcdnWorkload(**SCALE_WORKLOADS[name])
+    else:
+        workload = PAPER_WORKLOADS[name]()
     extra = dict(cell.get("config") or {})
     if cell.get("processes"):
         extra["client_processes"] = cell["processes"]

@@ -56,7 +56,6 @@ from repro.faults.tracking import CLUSTER_WIDE, FaultTracker
 from repro.fs.factory import build_cluster
 from repro.fs.redbud import RedbudCluster
 from repro.util.rng import StreamRNG
-from repro.workloads.spec import WorkloadContext, timed
 
 __all__ = [
     "SoakReport",
@@ -87,70 +86,16 @@ class SoakWorkload(CheckWorkload):
     rewrites, fsyncs, create/unlink churn) but paced about one op per
     client-second so a 24-virtual-hour soak stays a few minutes of wall
     clock, with the scratch-file population capped so the namespace and
-    volume stay bounded over the horizon.
-
-    Like every personality it paces itself inside ``op`` (``think`` is
-    a no-op): both drivers loop bare ``op`` calls, so a shrunk soak
-    counterexample replays under ``repro run --workload soak`` with the
-    same timing it failed with under the soak.
+    volume stay bounded over the horizon.  A shrunk soak counterexample
+    replays under ``repro run --workload soak`` with the same timing it
+    failed with under the soak: both drivers loop the same bare ``op``.
     """
 
     name = "soak"
     threads_per_client = 1
     think_time = 0.8
+    mix = (0.40, 0.70, 0.82, 0.91)
     scratch_cap = 8
-
-    def op(self, ctx: WorkloadContext, thread_id: int) -> _t.Generator:
-        yield from self._one(ctx, thread_id)
-        yield ctx.env.timeout(ctx.rng.exponential(self.think_time))
-
-    def think(self, ctx: WorkloadContext) -> _t.Generator:
-        return
-        yield  # pragma: no cover
-
-    def _one(self, ctx: WorkloadContext, thread_id: int) -> _t.Generator:
-        files = ctx.state["files"]
-        entry = files[
-            (thread_id + ctx.state.setdefault("rr", 0)) % len(files)
-        ]
-        ctx.state["rr"] += 1
-        scratch = ctx.state["scratch"]
-        if len(scratch) >= self.scratch_cap:
-            yield from timed(ctx, "unlink", ctx.fs.unlink(scratch.pop(0)))
-            return
-        roll = ctx.rng.random()
-        if roll < 0.40:
-            offset = entry["cursor"] % self.wrap_size
-            yield from timed(
-                ctx, "write",
-                ctx.fs.write(entry["id"], offset, self.io_size),
-                nbytes=self.io_size,
-            )
-            entry["cursor"] = offset + self.io_size
-        elif roll < 0.70:
-            limit = max(entry["cursor"] - self.io_size, 0)
-            offset = (
-                int(ctx.rng.random() * (limit // self.io_size + 1))
-                * self.io_size
-            )
-            yield from timed(
-                ctx, "write",
-                ctx.fs.write(entry["id"], offset, self.io_size),
-                nbytes=self.io_size,
-            )
-        elif roll < 0.82:
-            yield from timed(ctx, "fsync", ctx.fs.fsync(entry["id"]))
-        elif roll < 0.91 or not scratch:
-            name = ctx.unique_name("scratch")
-            file_id = yield from timed(ctx, "create", ctx.fs.create(name))
-            yield from timed(
-                ctx, "write",
-                ctx.fs.write(file_id, 0, self.io_size),
-                nbytes=self.io_size,
-            )
-            scratch.append(file_id)
-        else:
-            yield from timed(ctx, "unlink", ctx.fs.unlink(scratch.pop(0)))
 
 
 # -- convergence probes ----------------------------------------------------

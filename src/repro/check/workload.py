@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro.workloads.spec import Workload, WorkloadContext
+from repro.workloads.spec import Workload, WorkloadContext, timed
 
 __all__ = ["CheckWorkload"]
 
@@ -32,6 +32,12 @@ class CheckWorkload(Workload):
     #: Appends wrap back to offset 0 past this point, turning into
     #: rewrites of committed ranges (the in-place commit path).
     wrap_size = 256 * KIB
+    #: Cumulative roll thresholds of append, rewrite, fsync and create;
+    #: a roll above the last unlinks the oldest scratch file.
+    mix = (0.45, 0.75, 0.85, 0.95)
+    #: Scratch files at which an op unlinks one without rolling
+    #: (``None``: no cap).
+    scratch_cap: _t.Optional[int] = None
 
     def setup(self, ctx: WorkloadContext) -> _t.Generator:
         files: _t.List[_t.Dict[str, int]] = []
@@ -49,29 +55,37 @@ class CheckWorkload(Workload):
             (thread_id + ctx.state.setdefault("rr", 0)) % len(files)
         ]
         ctx.state["rr"] += 1
-        roll = ctx.rng.random()
-        if roll < 0.45:
+        scratch = ctx.state["scratch"]
+        size = self.io_size
+        append, rewrite, fsync, create = self.mix
+        if self.scratch_cap is not None and len(scratch) >= self.scratch_cap:
+            roll = 1.0  # a full scratch population unlinks, drawing nothing
+        else:
+            roll = ctx.rng.random()
+        if roll < append:
             # Append at the cursor (wrapping): allocation + commit.
             offset = entry["cursor"] % self.wrap_size
-            yield from ctx.fs.write(entry["id"], offset, self.io_size)
-            entry["cursor"] = offset + self.io_size
-        elif roll < 0.75:
-            # Rewrite a committed range: dedup merge / in-place commit.
-            limit = max(entry["cursor"] - self.io_size, 0)
-            offset = (
-                int(ctx.rng.random() * (limit // self.io_size + 1))
-                * self.io_size
+            yield from timed(
+                ctx, "write", ctx.fs.write(entry["id"], offset, size), size
             )
-            yield from ctx.fs.write(entry["id"], offset, self.io_size)
-        elif roll < 0.85:
-            yield from ctx.fs.fsync(entry["id"])
-        elif roll < 0.95 or not ctx.state["scratch"]:
+            entry["cursor"] = offset + size
+        elif roll < rewrite:
+            # Rewrite a committed range: dedup merge / in-place commit.
+            limit = max(entry["cursor"] - size, 0)
+            offset = int(ctx.rng.random() * (limit // size + 1)) * size
+            yield from timed(
+                ctx, "write", ctx.fs.write(entry["id"], offset, size), size
+            )
+        elif roll < fsync:
+            yield from timed(ctx, "fsync", ctx.fs.fsync(entry["id"]))
+        elif roll < create or not scratch:
             # Create a scratch file and give it one write.
             name = ctx.unique_name("scratch")
-            file_id = yield from ctx.fs.create(name)
-            yield from ctx.fs.write(file_id, 0, self.io_size)
-            ctx.state["scratch"].append(file_id)
+            file_id = yield from timed(ctx, "create", ctx.fs.create(name))
+            yield from timed(
+                ctx, "write", ctx.fs.write(file_id, 0, size), size
+            )
+            scratch.append(file_id)
         else:
-            file_id = ctx.state["scratch"].pop(0)
-            yield from ctx.fs.unlink(file_id)
+            yield from timed(ctx, "unlink", ctx.fs.unlink(scratch.pop(0)))
         yield from self.think(ctx)

@@ -76,13 +76,8 @@ from repro.core.protocol import COMMIT_MODES
 from repro.fs import build_cluster
 from repro.fs.factory import SYSTEMS, shape_error
 from repro.util import fmt_rate, fmt_time
-from repro.workloads import (
-    FileserverWorkload,
-    NpbBtIoWorkload,
-    VarmailWorkload,
-    WebproxyWorkload,
-    XcdnWorkload,
-)
+from repro.workloads import PAPER_WORKLOADS
+
 
 def _soak_workload() -> _t.Any:
     # Lazy: the slow-trickle soak mix lives in the check package, and
@@ -92,22 +87,9 @@ def _soak_workload() -> _t.Any:
     return SoakWorkload()
 
 
-WORKLOADS: _t.Dict[str, _t.Callable[[], _t.Any]] = {
-    "fileserver": lambda: FileserverWorkload(seed_files_per_client=15),
-    "varmail": lambda: VarmailWorkload(seed_files_per_client=15),
-    "webproxy": lambda: WebproxyWorkload(seed_files_per_client=20),
-    "xcdn-32K": lambda: XcdnWorkload(
-        file_size=32 * 1024, seed_files_per_client=25
-    ),
-    "xcdn-64K": lambda: XcdnWorkload(
-        file_size=64 * 1024, seed_files_per_client=15
-    ),
-    "xcdn-1M": lambda: XcdnWorkload(
-        file_size=1024 * 1024, seed_files_per_client=8
-    ),
-    "npb-bt": lambda: NpbBtIoWorkload(),
-    "soak": _soak_workload,
-}
+WORKLOADS: _t.Dict[str, _t.Callable[[], _t.Any]] = dict(
+    PAPER_WORKLOADS, soak=_soak_workload
+)
 
 FIGURES = {
     "fig1": "benchmarks/bench_fig1_overlap.py -- computing/I-O overlap",
@@ -147,6 +129,27 @@ def _result_dict(result: _t.Any) -> _t.Dict[str, _t.Any]:
         "latency": latency.as_dict(),
         "extras": _scalar_extras(result.extras),
     }
+
+
+def _count(low: int) -> _t.Callable[[str], int]:
+    """An argparse ``type``: an integer of at least ``low``, so a smaller
+    one is refused at parse time (exit 2)."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return count
+
+
+def _positive(text: str) -> float:
+    """An argparse ``type``: a positive number."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
 
 
 class _Refused(Exception):
@@ -329,12 +332,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     slo_ok = all(r.passed for r in slo_results)
     if args.json:
         payload = _result_dict(result)
-        if "mds_per_shard" in result.extras:
-            # Per-shard breakdown is a list of dicts, which the scalar
-            # filter drops; it is JSON-friendly, so carry it through.
-            payload["extras"]["mds_per_shard"] = result.extras[
-                "mds_per_shard"
-            ]
+        for key in ("mds_per_shard", "witnesses"):
+            # A per-shard list and the witness counters are not scalars,
+            # which the scalar filter drops; both are JSON-friendly, so
+            # carry them through.
+            if key in result.extras:
+                payload["extras"][key] = result.extras[key]
         if injector is not None:
             payload["faults"] = injector.summary()
         if check_verdict is not None:
@@ -392,6 +395,14 @@ def cmd_run(args: argparse.Namespace) -> int:
                 fmt_time(row["svc_p999"]),
             )
         shard_table.print()
+    witnesses = result.extras.get("witnesses")
+    if witnesses:
+        witness_table = Table(
+            ["witness metric", "value"], title="CURP witnesses"
+        )
+        for key, value in witnesses.items():
+            witness_table.add_row(key, value)
+        witness_table.print()
     if injector is not None:
         fault_table = Table(["fault metric", "value"], title="fault summary")
         for key, value in injector.summary().items():
@@ -795,8 +806,6 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_soak(args: argparse.Namespace) -> int:
     from repro.check.soak import run_soak
 
-    if args.hours <= 0:
-        raise _Refused("--hours must be positive")
     _check_writable(args.out)
     out_fh = open(args.out, "w", encoding="utf-8") if args.out else None
 
@@ -1032,10 +1041,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, duration: bool = True) -> None:
-        p.add_argument("--clients", type=int, default=7)
+        p.add_argument("--clients", type=_count(1), default=7)
         p.add_argument("--seed", type=int, default=11)
         if duration:
-            p.add_argument("--duration", type=float, default=3.0)
+            p.add_argument("--duration", type=_positive, default=3.0)
         p.add_argument(
             "--workload", choices=sorted(WORKLOADS), default="xcdn-32K"
         )
@@ -1051,7 +1060,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--faults", metavar="SPEC", default=None, help=help)
 
     def shards_flag(p: argparse.ArgumentParser, help: str) -> None:
-        p.add_argument("--shards", type=int, default=1, help=help)
+        p.add_argument("--shards", type=_count(1), default=1, help=help)
 
     def cluster_flags(p: argparse.ArgumentParser) -> None:
         """The redbud cluster shape ``run``, ``check`` and ``soak`` take."""
@@ -1064,7 +1073,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--witness-capacity",
-            type=int,
+            type=_count(0),
             default=0,
             metavar="N",
             help="CURP witness slots for unsynced commutative commits "
@@ -1102,7 +1111,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--processes",
-        type=int,
+        type=_count(1),
         default=None,
         metavar="P",
         help="simulated client nodes to multiplex --clients workload "
@@ -1114,7 +1123,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--delegation-chunk",
-        type=int,
+        type=_count(1),
         default=None,
         metavar="BYTES",
         help="space-delegation chunk size (default 16 MiB). Lower it "
@@ -1244,7 +1253,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_crash, duration=False)
     p_crash.add_argument("--mode", choices=COMMIT_MODES, default="delayed")
     p_crash.add_argument(
-        "--at", type=float, default=0.3, help="crash after this many seconds"
+        "--at", type=_positive, default=0.3, help="crash after this many seconds"
     )
     p_crash.set_defaults(func=cmd_crash)
 
@@ -1255,12 +1264,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument(
         "--budget",
-        type=int,
+        type=_count(1),
         default=200,
         help="schedules to explore (default %(default)s)",
     )
     p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--clients", type=int, default=3)
+    p_check.add_argument("--clients", type=_count(1), default=3)
     cluster_flags(p_check)
     p_check.add_argument(
         "--mode",
@@ -1288,19 +1297,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_soak.add_argument(
         "--hours",
-        type=float,
+        type=_positive,
         default=2.0,
         help="virtual hours of soak (default %(default)s)",
     )
     p_soak.add_argument("--seed", type=int, default=0)
     p_soak.add_argument(
         "--intensity",
-        type=float,
+        type=_positive,
         default=1.0,
         help="nemesis action rate multiplier (default %(default)s: "
         "one action per ~30 virtual seconds)",
     )
-    p_soak.add_argument("--clients", type=int, default=4)
+    p_soak.add_argument("--clients", type=_count(1), default=4)
     cluster_flags(p_soak)
     p_soak.add_argument(
         "--out",

@@ -23,7 +23,6 @@ is what lets the identical classes run on either substrate.
 from __future__ import annotations
 
 import typing as _t
-from sys import getrefcount as _getrefcount
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.effects import Effects
@@ -286,14 +285,10 @@ class Condition(Event):
         """Unsubscribe from constituents that will no longer matter.
 
         Once the condition has triggered, its ``_check`` callback on the
-        still-unfired constituents is dead weight.  Removing it lets an
-        orphaned timeout -- the ubiquitous ``any_of([reply, timeout])``
-        RPC pattern, where the reply wins -- be cancelled outright
-        instead of sitting on the calendar until its deadline.  A
-        timeout is only cancelled when nothing else can observe it:
-        no other subscriber, and no outside reference (the refcount
-        check -- the ``_events`` list, the loop local and getrefcount's
-        argument account for exactly three).
+        still-unfired constituents is dead weight.  An orphaned timeout
+        (the ``any_of([reply, timeout])`` RPC pattern, where the reply
+        wins) stays on its calendar and fires into nothing unless its
+        owner cancels it, as the rpc retry loop does.
         """
         for event in self._events:
             callbacks = event.callbacks
@@ -302,13 +297,7 @@ class Condition(Event):
             try:
                 callbacks.remove(self._check)
             except ValueError:
-                continue
-            if (
-                not callbacks
-                and type(event) is Timeout
-                and _getrefcount(event) <= 3
-            ):
-                event.cancel()
+                pass
 
     @staticmethod
     def all_events(events: _t.List[Event], count: int) -> bool:

@@ -24,13 +24,11 @@ pool retires surplus daemons (see :mod:`repro.core.thread_pool`).
 from __future__ import annotations
 
 import typing as _t
-from sys import getrefcount as _getrefcount
 
 from repro.core.kernel.events import (
     PENDING,
     PRIORITY_URGENT,
     Event,
-    Timeout,
 )
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -89,17 +87,6 @@ class _Interruption(Event):
                 target.callbacks.remove(process._resume)
             except ValueError:  # pragma: no cover - already detached
                 pass
-            if (
-                not target.callbacks
-                and type(target) is Timeout
-                and _getrefcount(target) <= 3
-            ):
-                # The interrupted sleep's timer is orphaned (no other
-                # subscriber, no outside reference): cancel it so a
-                # retired daemon's pending wakeup does not linger on the
-                # calendar until its deadline.  The refcount bound is
-                # ``process._target`` + the local + getrefcount's arg.
-                target.cancel()
         process._resume(self)
 
 

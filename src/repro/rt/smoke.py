@@ -8,12 +8,15 @@ its commit queue, adaptive daemon pool, compound controller and retrying
 RPC stub, and it runs here against real ``repro serve`` shard processes
 over real TCP, writing real bytes into a shared volume file.
 
-After the workload drains, the shards are shut down (each persists its
-durable state to ``shard-<k>.json``) and :func:`run_oracles` judges the
-reloaded dumps (:func:`load_shard`) with the simulator's oracle panel
-(:mod:`repro.consistency.panel`), plus the one rt-only check,
-``expectations``: client-side bookkeeping (files created, sizes
-written, unlinks) matches the shards' durable namespaces.
+The clients run :class:`~repro.workloads.smoke.SmokeWorkload` through
+the simulator's own driver,
+:meth:`~repro.fs.base.BaseCluster.start_workload`.  Once every client's
+script is done, the clients and then the shards are shut down (each
+shard persists its durable state to ``shard-<k>.json``) and
+:func:`run_oracles` judges the reloaded dumps (:func:`load_shard`) with
+the simulator's oracle panel (:mod:`repro.consistency.panel`), plus the
+one rt-only check, ``expectations``: the script's bookkeeping (files
+created, sizes written, unlinks) matches the shards' durable namespaces.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import typing as _t
 from repro.client.client import RedbudClient
 from repro.consistency.fsck import rebuild_free_space
 from repro.consistency.panel import PANEL_KINDS, judge_shards
+from repro.fs.base import BaseCluster
 from repro.fs.config import ClusterConfig
 from repro.fs.redbud import build_client
 from repro.mds.allocation import SpaceManager
@@ -38,6 +42,7 @@ from repro.rt.effects import AsyncioEffects
 from repro.rt.transport import RtClusterTransport, ctl_request
 from repro.util.intervals import IntervalSet
 from repro.util.rng import StreamRNG
+from repro.workloads.smoke import SmokeWorkload
 
 __all__ = [
     "LoadedShard",
@@ -80,34 +85,26 @@ class SmokeConfig:
         return os.path.join(self.data_dir, "volume.img")
 
 
-def _workload(
-    client: RedbudClient,
-    config: SmokeConfig,
-    expect: _t.Dict[int, int],
-) -> _t.Generator:
-    """One client's script: create, write, overwrite, fsync, unlink."""
-    file_ids: _t.List[int] = []
-    size = config.file_size
-    for index in range(config.files_per_client):
-        name = f"c{client.client_id}-f{index}"
-        file_id = yield from client.create(name)
-        file_ids.append(file_id)
-        yield from client.write(file_id, 0, size)
-        expect[file_id] = size
-        if index % 3 == 0:
-            # Overwrite the first half: exercises extent displacement
-            # and the defensive in-place commit rule on a live server.
-            yield from client.write(file_id, 0, size // 2)
-        yield from client.fsync(file_id)
-    for index, file_id in enumerate(file_ids):
-        if index % 4 == 3:
-            yield from client.unlink(file_id)
-            del expect[file_id]
-    yield from client.shutdown()
+class _LiveClients(BaseCluster):
+    """The shared workload driver over smoke's live clients."""
+
+    def __init__(
+        self, env: AsyncioEffects, clients: _t.List[RedbudClient], seed: int
+    ) -> None:
+        super().__init__(env, seed)
+        self.clients = clients
+
+    @property
+    def num_clients(self) -> int:
+        return len(self.clients)
+
+    def client_fs(self, index: int) -> RedbudClient:
+        return self.clients[index]
 
 
 async def run_smoke(config: SmokeConfig) -> _t.Dict[str, _t.Any]:
-    """Drive the workload, shut the shards down, judge the dumps.
+    """Run :class:`SmokeWorkload` on live clients, shut the clients and
+    shards down, judge the dumps.
 
     The shards are shut down, and so write their dumps, on every exit
     path: a run that times out or whose client fails still ends ``repro
@@ -123,20 +120,22 @@ async def run_smoke(config: SmokeConfig) -> _t.Dict[str, _t.Any]:
         retry=RetryPolicy(base_timeout=0.5, max_timeout=2.0, max_attempts=30),
     )
     rng = StreamRNG(config.seed)
-    expectations: _t.Dict[int, int] = {}
     try:
         clients = [
             build_client(env, node, client_id, transport, blockdev, router, rng)
             for client_id in range(1, config.clients + 1)
         ]
-        procs = [
-            env.process(
-                _workload(client, config, expectations),
-                name=f"smoke-client-{client.client_id}",
+        run = _LiveClients(env, clients, config.seed).start_workload(
+            SmokeWorkload(config.files_per_client, config.file_size)
+        )
+
+        async def script_then_shutdown() -> None:
+            await env.wait(env.all_of(run.setups))
+            await env.wait(
+                env.all_of([env.process(c.shutdown()) for c in clients])
             )
-            for client in clients
-        ]
-        await asyncio.wait_for(env.wait(env.all_of(procs)), config.timeout)
+
+        await asyncio.wait_for(script_then_shutdown(), config.timeout)
         env.check_failures()
         stats = [
             await ctl_request(host, port, {"op": "stats"})
@@ -155,6 +154,7 @@ async def run_smoke(config: SmokeConfig) -> _t.Dict[str, _t.Any]:
         with open(dump_path) as handle:
             dumps.append(json.load(handle))
 
+    expectations = run.contexts[0].shared["expect"] if clients else {}
     report = run_oracles(dumps, config.volume_path, expectations, config)
     report["shard_stats"] = stats
     report["transport_stats"] = dict(

@@ -277,9 +277,8 @@ def test_reply_beats_timer_and_the_loser_is_cancelled(substrate):
 
 def test_interrupt_detaches_a_sleeper_from_its_timer(substrate):
     """The sleeper is resumed once, by the Interrupt; its orphaned
-    timer has no subscriber left, and an explicit ``cancel()`` makes it
-    a tombstone.  (``_Interruption``'s own refcount-gated cancel cannot
-    fire while a calendar -- either one -- holds the timer.)"""
+    timer has no subscriber left, and only an explicit ``cancel()``
+    makes it a tombstone (``_Interruption`` never cancels it)."""
 
     def build(env):
         log = []

@@ -1,11 +1,10 @@
 """Regression: the retry loop must cancel the losing timeout.
 
-The calendar entry holds a reference to every scheduled ``Timeout``, so
-the condition's orphan-refcount sweep can never reclaim a timer that
-lost the race to a reply.  Before the explicit ``timer.cancel()`` in
-:meth:`RpcClient._call_with_retry`, every successful call parked a live
-timer on the calendar until its full deadline -- unbounded growth under
-retry churn with long timeouts.
+Nothing but the caller cancels a timer that lost the race to a reply:
+a triggered ``any_of`` only unsubscribes from it.  Before the explicit
+``timer.cancel()`` in :meth:`RpcClient._call_with_retry`, every
+successful call parked a live timer on the calendar until its full
+deadline -- unbounded growth under retry churn with long timeouts.
 """
 
 from repro.net.messages import GetattrPayload

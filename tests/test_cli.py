@@ -236,6 +236,46 @@ def test_crash_refuses_duration():
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["run", "--witness-capacity", "-1"], "--witness-capacity"),
+        (["soak", "--witness-capacity", "-1"], "--witness-capacity"),
+        (["run", "--shards", "0"], "--shards"),
+        (["check", "--shards", "0"], "--shards"),
+        (["run", "--clients", "0"], "--clients"),
+        (["check", "--clients", "0"], "--clients"),
+        (["soak", "--clients", "0"], "--clients"),
+        (["run", "--duration", "-1"], "--duration"),
+        (["check", "--budget", "-3"], "--budget"),
+        (["run", "--processes", "0"], "--processes"),
+        (["run", "--delegation-chunk", "0"], "--delegation-chunk"),
+        (["crash", "--at", "-1"], "--at"),
+        (["soak", "--intensity", "-1"], "--intensity"),
+        (["soak", "--hours", "0"], "--hours"),
+    ],
+)
+def test_out_of_range_numbers_are_refused_at_parse_time(capsys, argv, flag):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert f"argument {flag}: must be" in capsys.readouterr().err
+
+
+def test_run_reports_witness_counters(capsys):
+    argv = ["run", "--clients", "2", "--duration", "0.3"]
+    assert main(argv + ["--witness-capacity", "8", "--json"]) == 0
+    witnesses = json.loads(capsys.readouterr().out)["extras"]["witnesses"]
+    assert witnesses["capacity"] == 8
+    assert witnesses["fast_commits"] > 0
+    assert main(argv + ["--witness-capacity", "8"]) == 0
+    out = capsys.readouterr().out
+    assert "CURP witnesses" in out
+    assert f"fast_commits      | {witnesses['fast_commits']}" in out
+    assert main(argv) == 0
+    assert "CURP witnesses" not in capsys.readouterr().out
+
+
 def test_run_command_with_aggregate_processes(capsys):
     code = main(
         [
