@@ -274,6 +274,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         args.system, faults=faults, check=args.check,
         processes=args.processes, **shape,
     )
+    if args.processes is not None and args.processes > args.clients:
+        raise _Refused(
+            f"--processes {args.processes} exceeds --clients "
+            f"{args.clients}: every node hosts at least one client"
+        )
     if faults is not None and faults.crash_at is not None:
         # A crash-cut schedule (e.g. a shrunken counterexample from
         # `repro check`): replay it through the check harness, which
@@ -931,8 +936,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
             "volume_size": args.volume_size,
         }
         cluster_path = os.path.join(args.data_dir, "cluster.json")
-        with open(cluster_path, "w") as handle:
+        # Written aside and renamed: whoever polls for the file (smoke,
+        # a test harness) must never read it half-written.
+        with open(cluster_path + ".tmp", "w") as handle:
             json.dump(cluster, handle, indent=1)
+        os.replace(cluster_path + ".tmp", cluster_path)
         print(f"cluster up: {cluster_path}", flush=True)
         # Run until the shards exit (a `repro smoke` shutdown) or ^C.
         for child in children:
@@ -959,6 +967,11 @@ def cmd_serve_shard(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.rt.server import ShardConfig, serve_shard
+
+    if args.shard >= args.shards:
+        raise _Refused(
+            f"--shard {args.shard} is not below --shards {args.shards}"
+        )
 
     config = ShardConfig(
         shard=args.shard,
@@ -1325,19 +1338,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="boot a live sharded metadata cluster on localhost "
         "(one asyncio process per shard, real TCP)",
     )
-    p_serve.add_argument("--shards", type=int, default=2)
+    p_serve.add_argument("--shards", type=_count(1), default=2)
     p_serve.add_argument(
         "--data-dir",
         default="./repro-data",
         help="volume file, cluster.json and shard dumps live here",
     )
     p_serve.add_argument(
-        "--volume-size", type=int, default=256 * 1024 * 1024
+        "--volume-size", type=_count(1), default=256 * 1024 * 1024
     )
-    p_serve.add_argument("--daemons", type=int, default=4)
+    p_serve.add_argument("--daemons", type=_count(1), default=4)
     p_serve.add_argument(
         "--drop-every",
-        type=int,
+        type=_count(0),
         default=0,
         help="drop every Nth request frame before delivery (0 = off): "
         "forces real retransmissions through the retry machinery",
@@ -1347,15 +1360,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_shard = sub.add_parser(
         "serve-shard", help="internal: one shard process of `serve`"
     )
-    p_shard.add_argument("--shard", type=int, required=True)
-    p_shard.add_argument("--shards", type=int, required=True)
+    p_shard.add_argument("--shard", type=_count(0), required=True)
+    p_shard.add_argument("--shards", type=_count(1), required=True)
     p_shard.add_argument("--data-dir", required=True)
     p_shard.add_argument("--port", type=int, default=0)
     p_shard.add_argument(
-        "--volume-size", type=int, default=256 * 1024 * 1024
+        "--volume-size", type=_count(1), default=256 * 1024 * 1024
     )
-    p_shard.add_argument("--daemons", type=int, default=4)
-    p_shard.add_argument("--drop-every", type=int, default=0)
+    p_shard.add_argument("--daemons", type=_count(1), default=4)
+    p_shard.add_argument("--drop-every", type=_count(0), default=0)
     p_shard.set_defaults(func=cmd_serve_shard)
 
     p_smoke = sub.add_parser(
@@ -1366,15 +1379,15 @@ def build_parser() -> argparse.ArgumentParser:
         "disjointness, exactly-once, history) plus client expectations",
     )
     p_smoke.add_argument("--data-dir", default="./repro-data")
-    p_smoke.add_argument("--clients", type=int, default=4)
+    p_smoke.add_argument("--clients", type=_count(1), default=4)
     p_smoke.add_argument(
-        "--files", type=int, default=6, help="files per client"
+        "--files", type=_count(1), default=6, help="files per client"
     )
-    p_smoke.add_argument("--file-size", type=int, default=32 * 1024)
+    p_smoke.add_argument("--file-size", type=_count(1), default=32 * 1024)
     p_smoke.add_argument("--seed", type=int, default=11)
     p_smoke.add_argument(
         "--timeout",
-        type=float,
+        type=_positive,
         default=120.0,
         help="workload deadline in real seconds",
     )

@@ -31,7 +31,13 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 
 
 class Request(Event):
-    """A pending or granted claim on a :class:`Resource` slot."""
+    """A pending or granted claim on a :class:`Resource` slot.
+
+    A request made while a slot is free is granted on the spot and is
+    already processed when :meth:`Resource.request` returns; one that
+    has to queue is granted through the calendar, in FIFO order, when a
+    slot comes back.
+    """
 
     __slots__ = ("resource",)
 
@@ -106,8 +112,12 @@ class Resource:
 
     def _do_request(self, request: Request) -> None:
         if len(self.users) < self._capacity:
+            # Uncontended: granted in place.  The request is born
+            # processed, so the requester's ``yield`` goes straight on
+            # and no calendar entry is made for a wait nobody has.
             self.users.append(request)
-            request.succeed()
+            request._value = None
+            request.callbacks = None
         else:
             self.queue.append(request)
 

@@ -79,16 +79,26 @@ class RetryPolicy:
 class _Inbox(Store):
     """Queued request messages; each served get takes a service group.
 
-    A put carries one delivery, queued whole before any waiting get is
-    served.  With ``n`` messages queued, ``w`` gets waiting (the one
-    being served included) and ``g`` = ``group_limit`` (set by the
-    server; 1 otherwise), the queue is shared as ``m = min(w, ceil(n /
-    g))`` groups and this get takes the first ``min(g, ceil(n / m))``
+    A delivery is queued whole before any waiting get is served.  With
+    ``n`` messages queued, ``w`` gets waiting (the one being served
+    included) and ``g`` = ``group_limit`` (set by the server; 1
+    otherwise), the queue is shared as ``m = min(w, ceil(n / g))``
+    groups and this get takes the first ``min(g, ceil(n / m))``
     messages: idle daemons split a delivery evenly, a daemon coming back
     to a backlog takes ``g``.  ``g = 1`` is one message per get.
     """
 
     group_limit = 1
+
+    def deliver(self, messages: _t.Tuple[RpcMessage, ...]) -> None:
+        """Queue one delivery whole, then serve the waiting gets.
+
+        The same admit-then-serve step as ``put``, without the put
+        event: the inbox is unbounded, so a put never waits and nobody
+        yields it.  Only the gets served here reach the calendar.
+        """
+        self._store_item(messages)
+        self._serve_gets()
 
     def _store_item(self, messages: _t.Tuple[RpcMessage, ...]) -> None:
         self.items.extend(messages)
@@ -177,7 +187,7 @@ class RpcServerPort:
         now = self.env.now
         for message in messages:
             message.arrive_time = now
-        self.inbox.put(messages)
+        self.inbox.deliver(messages)
 
     def fail(self) -> int:
         """Crash: lose all queued requests and abandon parked consumers.

@@ -16,6 +16,7 @@ cache entirely, which is conservative).
 
 from __future__ import annotations
 
+import heapq
 import typing as _t
 from collections import OrderedDict
 
@@ -23,11 +24,14 @@ from repro.util.intervals import IntervalSet
 
 
 class _FileEntry:
-    __slots__ = ("resident", "dirty")
+    __slots__ = ("resident", "dirty", "stamp")
 
     def __init__(self) -> None:
         self.resident = IntervalSet()
         self.dirty = IntervalSet()
+        #: The file's place in the LRU order: the cache's touch count
+        #: at the file's last touch.
+        self.stamp = 0
 
     def bytes_resident(self) -> int:
         return self.resident.total()
@@ -47,6 +51,16 @@ class PageCache:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
         self._files: "OrderedDict[int, _FileEntry]" = OrderedDict()
+        #: Touches so far (see ``_FileEntry.stamp``).
+        self._touches = 0
+        #: Clean files in LRU order, as a heap of ``(stamp, file_id)``:
+        #: the eviction candidates, without the dirty files that sit
+        #: ahead of them in ``_files``.  Entries go stale when their
+        #: file is touched again, dirtied or dropped and are discarded
+        #: as eviction meets them (or in a rebuild when they pile up).
+        #: Built by the first eviction pass and kept from then on, so a
+        #: cache that never fills pays nothing for it.
+        self._clean: _t.Optional[_t.List[_t.Tuple[int, int]]] = None
         self._resident_bytes = 0
         self._dirty_bytes = 0
         #: Files with any dirty range: none of them is evictable.
@@ -68,6 +82,7 @@ class PageCache:
             entry = files[file_id] = _FileEntry()
         else:
             files.move_to_end(file_id)
+        entry.stamp = self._touches = self._touches + 1
         resident, dirty = entry.resident, entry.dirty
         before = resident.total()
         dirty_before = dirty.total()
@@ -78,6 +93,8 @@ class PageCache:
         dirty_after = dirty.total()
         self._dirty_bytes += dirty_after - dirty_before
         self._dirty_files += (dirty_after > 0) - (dirty_before > 0)
+        if not dirty_after and self._clean is not None:
+            self._note_clean(file_id, entry)  # an empty write
         capacity = self.capacity
         if capacity is not None and self._resident_bytes > capacity:
             self._evict_if_needed(exclude=file_id)
@@ -92,6 +109,8 @@ class PageCache:
             dirty_after = dirty.total()
             self._dirty_bytes += dirty_after - dirty_before
             self._dirty_files += (dirty_after > 0) - (dirty_before > 0)
+            if dirty_before and not dirty_after and self._clean is not None:
+                self._note_clean(file_id, entry)
 
     # -- reads ---------------------------------------------------------------
 
@@ -145,6 +164,7 @@ class PageCache:
     def drop_volatile(self) -> None:
         """Crash: all cached state (clean and dirty) is lost."""
         self._files.clear()
+        self._clean = None
         self._resident_bytes = 0
         self._dirty_bytes = 0
         self._dirty_files = 0
@@ -158,7 +178,27 @@ class PageCache:
             self._files[file_id] = entry
         else:
             self._files.move_to_end(file_id)
+        entry.stamp = self._touches = self._touches + 1
+        if self._clean is not None and not entry.dirty:
+            self._note_clean(file_id, entry)
         return entry
+
+    def _clean_in_lru_order(self) -> _t.List[_t.Tuple[int, int]]:
+        """The candidates' heap, from scratch: ``_files`` is in stamp
+        order, so the list is sorted and already a heap."""
+        return [
+            (entry.stamp, file_id)
+            for file_id, entry in self._files.items()
+            if not entry.dirty
+        ]
+
+    def _note_clean(self, file_id: int, entry: _FileEntry) -> None:
+        """``file_id`` is clean as of its last touch: a candidate."""
+        clean = self._clean
+        if len(clean) > 2 * len(self._files) + 64:
+            clean[:] = self._clean_in_lru_order()  # mostly stale
+        else:
+            heapq.heappush(clean, (entry.stamp, file_id))
 
     def _evict_if_needed(self, exclude: int) -> None:
         capacity = self.capacity
@@ -166,18 +206,28 @@ class PageCache:
             return
         if self._dirty_files == len(self._files):
             return  # nothing clean to drop
-        # One pass in LRU order; dirty files and the protected file are
-        # skipped (dirty data is never dropped silently).
-        victims = []
+        if self._clean is None:
+            self._clean = self._clean_in_lru_order()
+        # Clean files in LRU order; the protected file is passed over
+        # and dirty ones are never candidates (dirty data is never
+        # dropped silently).
+        files = self._files
+        clean = self._clean
         resident = self._resident_bytes
-        for victim_id, victim in self._files.items():
-            if victim_id == exclude or victim.dirty:
+        victims = 0
+        spared = None
+        while clean and resident > capacity:
+            stamp, victim_id = heapq.heappop(clean)
+            victim = files.get(victim_id)
+            if victim is None or victim.stamp != stamp or victim.dirty:
+                continue  # stale
+            if victim_id == exclude:
+                spared = (stamp, victim_id)
                 continue
-            victims.append(victim_id)
+            del files[victim_id]
             resident -= victim.bytes_resident()
-            if resident <= capacity:
-                break
-        for victim_id in victims:
-            del self._files[victim_id]
+            victims += 1
+        if spared is not None:
+            heapq.heappush(clean, spared)
         self._resident_bytes = resident
-        self.evictions += len(victims)
+        self.evictions += victims

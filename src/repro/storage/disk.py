@@ -34,7 +34,7 @@ from repro.storage.scheduler import (
     BlockRequest,
     ElevatorScheduler,
 )
-from repro.util.intervals import IntervalSet
+from repro.util.intervals import BatchedIntervalSet
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.core.effects import Effects
@@ -182,6 +182,10 @@ class DiskArray:
         #: looking, that no queue holds anything new for it.
         self._changed = [True] * n
         self._wakeups = [env.event() for _ in range(n)]
+        #: How many of ``_wakeups`` are untriggered (a spindle asleep
+        #: on it, or not yet started): zero means every spindle is
+        #: busy and a submission has nobody to wake.
+        self._armed = n
         self._processes = [
             env.process(self._serve(spindle), name=f"spindle-{spindle}")
             for spindle in range(n)
@@ -193,8 +197,9 @@ class DiskArray:
         #: Volume ranges whose data is durable (ground truth for the
         #: ordered-writes invariant checker).  A write becomes stable only
         #: when its service completes; queued/in-flight writes are lost on
-        #: a crash.
-        self.stable = IntervalSet()
+        #: a crash.  Completed writes are folded in sorted batches (see
+        #: :class:`~repro.util.intervals.BatchedIntervalSet`).
+        self.stable = BatchedIntervalSet()
         #: Requests dispatched to a spindle whose service has not yet
         #: completed (at most one per spindle).  These sit on the lost
         #: side of the crash boundary together with queued requests.
@@ -282,12 +287,16 @@ class DiskArray:
         Every idle spindle is woken, not just those: which events exist
         and in what order is part of the model's observable behaviour
         (see DESIGN 2.2).  The untouched ones go back to sleep without
-        polling.
+        polling.  With every spindle busy there is nothing to wake and
+        the walk is skipped.
         """
         self._mark_changed(spindles)
+        if not self._armed:
+            return
         for wakeup in self._wakeups:
             if not wakeup.triggered:
                 wakeup.succeed()
+        self._armed = 0
 
     # -- service loops -----------------------------------------------------------
 
@@ -352,6 +361,7 @@ class DiskArray:
         env = self.env
         write_plug = self.params.write_plug
         changed = self._changed
+        wakeups = self._wakeups
         while True:
             changed[spindle] = False
             request = self._next_request(spindle)
@@ -365,19 +375,19 @@ class DiskArray:
                 # other wake-up re-arms the same timer and sleeps on.
                 oldest = self._oldest_plugged_submit(spindle)
                 while True:
-                    self._wakeups[spindle] = env.event()
+                    if wakeups[spindle].triggered:
+                        self._armed += 1
+                    wakeup = wakeups[spindle] = env.event()
                     if oldest is not None:
                         plug_ready = oldest + write_plug
                         delay = max(0.0, plug_ready - env.now) + 1e-9
-                        yield env.any_of(
-                            [env.timeout(delay), self._wakeups[spindle]]
-                        )
+                        yield env.any_of([env.timeout(delay), wakeup])
                         # The elevator's own plug test, so both agree
                         # on the instant the write becomes dispatchable.
                         if not env.now - oldest < write_plug:
                             break
                     else:
-                        yield self._wakeups[spindle]
+                        yield wakeup
                     if changed[spindle]:
                         break
                 continue

@@ -123,3 +123,110 @@ class IntervalSet:
     def __repr__(self) -> str:
         spans = ", ".join(f"[{s}, {e})" for s, e in self)
         return f"IntervalSet({spans})"
+
+
+class BatchedIntervalSet(IntervalSet):
+    """An :class:`IntervalSet` that takes its adds in sorted batches.
+
+    Each :meth:`add` into a long set shifts the tail of both lists; a
+    set that only grows (the disk array's stable ranges) pays that once
+    per add.  Here adds wait in a buffer of at most :attr:`BATCH`
+    ranges, and a fold sorts the buffer and merges it in one pass.  The
+    buffer is folded when it fills and before every read or removal,
+    so the set reads exactly as if each add had gone in on its own.
+    """
+
+    __slots__ = ("_pending",)
+
+    #: Ranges buffered before a fold.
+    BATCH = 512
+
+    def __init__(
+        self, intervals: _t.Iterable[_t.Tuple[int, int]] = ()
+    ) -> None:
+        self._pending: _t.List[_t.Tuple[int, int]] = []
+        super().__init__(intervals)
+
+    def add(self, start: int, end: int) -> None:
+        if start >= end:
+            if start == end:
+                return
+            raise ValueError(f"invalid interval [{start}, {end})")
+        pending = self._pending
+        pending.append((start, end))
+        if len(pending) >= self.BATCH:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Merge the buffered ranges into the set."""
+        pending = self._pending
+        if not pending:
+            return
+        pending.sort()
+        starts, ends = self._starts, self._ends
+        new_starts: _t.List[int] = []
+        new_ends: _t.List[int] = []
+        done = 0  # ranges of the old lists already copied or merged
+        for start, end in pending:
+            # The old ranges touching [start, end): [lo, hi).
+            lo = bisect.bisect_left(ends, start, done)
+            hi = bisect.bisect_right(starts, end, lo)
+            if done < lo:
+                new_starts += starts[done:lo]
+                new_ends += ends[done:lo]
+            if lo < hi:
+                start = min(start, starts[lo])
+                end = max(end, ends[hi - 1])
+            done = hi
+            if new_ends and start <= new_ends[-1]:
+                if end > new_ends[-1]:
+                    new_ends[-1] = end
+            else:
+                new_starts.append(start)
+                new_ends.append(end)
+        new_starts += starts[done:]
+        new_ends += ends[done:]
+        self._starts = new_starts
+        self._ends = new_ends
+        pending.clear()
+
+    def remove(self, start: int, end: int) -> None:
+        self._fold()
+        super().remove(start, end)
+
+    def clear(self) -> None:
+        self._pending.clear()
+        super().clear()
+
+    def contains(self, start: int, end: int) -> bool:
+        self._fold()
+        return super().contains(start, end)
+
+    def overlaps(self, start: int, end: int) -> bool:
+        self._fold()
+        return super().overlaps(start, end)
+
+    def intersection(self, start: int, end: int) -> IntervalSet:
+        self._fold()
+        return super().intersection(start, end)
+
+    def total(self) -> int:
+        self._fold()
+        return super().total()
+
+    def __iter__(self) -> _t.Iterator[_t.Tuple[int, int]]:
+        self._fold()
+        return super().__iter__()
+
+    def __len__(self) -> int:
+        self._fold()
+        return super().__len__()
+
+    def __bool__(self) -> bool:
+        return bool(self._pending) or super().__bool__()
+
+    def __eq__(self, other: object) -> bool:
+        self._fold()
+        if isinstance(other, BatchedIntervalSet):
+            other._fold()
+        return super().__eq__(other)

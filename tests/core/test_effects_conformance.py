@@ -388,6 +388,74 @@ def test_resource_grants_in_request_order(substrate, capacity):
     assert granted == list(range(6))
 
 
+def _count_schedules(env, monkeypatch):
+    """A list that collects every event ``env`` puts on its calendar."""
+    scheduled = []
+    original = type(env).schedule
+
+    def schedule(self, event, *args, **kwargs):
+        scheduled.append(event)
+        original(self, event, *args, **kwargs)
+
+    monkeypatch.setattr(type(env), "schedule", schedule)
+    return scheduled
+
+
+def test_uncontended_request_is_granted_in_place(substrate, monkeypatch):
+    def build(env):
+        scheduled = _count_schedules(env, monkeypatch)
+        resource = Resource(env, 1)
+
+        def main():
+            before = len(scheduled)
+            with resource.request() as request:
+                processed = request.processed
+                yield request
+                entries = len(scheduled) - before
+            return processed, entries, resource.count
+
+        return env.process(main())
+
+    _env, (processed, entries, held_after) = substrate.run(build)
+    # Born processed: neither the grant nor the yield touched the
+    # calendar, and the slot went back on leaving the ``with``.
+    assert processed is True
+    assert entries == 0
+    assert held_after == 0
+
+
+def test_contended_requests_are_granted_fifo_through_the_calendar(
+    substrate, monkeypatch
+):
+    def build(env):
+        scheduled = _count_schedules(env, monkeypatch)
+        resource = Resource(env, 1)
+        held = resource.request()
+        waiting = [resource.request() for _ in range(3)]
+        log = []
+
+        def main():
+            yield held
+            states = [(w.triggered, w.processed) for w in waiting]
+            resource.release(held)
+            # The head waiter is granted: triggered and on the calendar,
+            # processed only when the calendar dispatches it.
+            granted = waiting[0]
+            log.append((granted.triggered, granted.processed,
+                        scheduled[-1] is granted))
+            for request in waiting:
+                yield request
+                log.append(resource.users == [request])
+                resource.release(request)
+            return states, log
+
+        return env.process(main())
+
+    _env, (states, log) = substrate.run(build)
+    assert states == [(False, False)] * 3
+    assert log == [(True, False, True), True, True, True]
+
+
 def test_failure_with_a_waiter_is_delivered_and_defused(substrate):
     def build(env):
         def boom():

@@ -73,6 +73,37 @@ def test_inbox_queues_when_no_daemon(env):
     assert port.requests_received == 1
 
 
+@pytest.mark.parametrize("waiting", [0, 1, 3])
+def test_a_delivery_schedules_one_event_per_daemon_it_serves(env, waiting):
+    port = RpcServerPort(env)
+    served = []
+
+    def daemon():
+        served.append((yield port.next_group()))
+
+    for _ in range(waiting):
+        env.process(daemon())
+    env.run()  # every daemon parks on its get
+    messages = [
+        RpcMessage(
+            kind="create",
+            payload=CreatePayload(name=f"f{i}"),
+            client_id=0,
+            reply_event=Event(env),
+            send_time=0.0,
+        )
+        for i in range(5)
+    ]
+    before = env.scheduled_events
+    port.deliver(*messages)
+    # One event per get served; queueing the delivery itself makes none.
+    assert env.scheduled_events - before == waiting
+    env.run()
+    assert served == [(message,) for message in messages[:waiting]]
+    assert port.queue_length == 5 - waiting
+    assert port.requests_received == 5
+
+
 def test_compound_message_sizes(env):
     ops = [CommitOp(file_id=i, extents=[]) for i in range(3)]
     msg = RpcMessage(

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.storage.cache import PageCache
+from repro.util.intervals import IntervalSet
 
 
 def test_write_makes_range_resident_and_dirty():
@@ -168,3 +169,56 @@ def test_eviction_matches_the_reference_pass(ops, capacity_pages):
         assert cache._dirty_files == sum(
             1 for entry in cache._files.values() if entry.dirty
         )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_CACHE_OPS, st.integers(1, 12), st.integers(0, 80))
+def test_eviction_matches_the_reference_after_a_late_bound(
+    ops, capacity_pages, bound_at
+):
+    """A cache built unbounded and bounded later (the NFS server's) picks
+    the same victims as the reference scan."""
+    page = 4096
+    cache, reference = PageCache(None), _ReferenceCache(None)
+    for step, (name, file_id, first, pages) in enumerate(ops):
+        if step == bound_at:
+            cache.capacity = reference.capacity = capacity_pages * page
+        for target in (cache, reference):
+            if name == "drop_file":
+                target.drop_file(file_id)
+            else:
+                getattr(target, name)(file_id, first * page, pages * page)
+        assert list(cache._files) == list(reference._files)
+        assert cache.evictions == reference.evictions
+
+
+class _CountedRanges(IntervalSet):
+    """Counts how often the eviction pass asks whether it is empty."""
+
+    __slots__ = ()
+    asked = 0
+
+    def __bool__(self):
+        _CountedRanges.asked += 1
+        return super().__bool__()
+
+
+def test_eviction_does_not_reread_the_dirty_files_ahead_of_it():
+    page = 4096
+    cache = PageCache(capacity=60 * page)
+    for file_id in range(30):  # the LRU head: dirty, never evictable
+        cache.write(file_id, 0, page)
+    for entry in cache._files.values():
+        counted = _CountedRanges()
+        counted.add(0, page)
+        entry.dirty = counted
+    for file_id in range(100, 120):
+        cache.fill(file_id, 0, page)
+    # The first pass collects the clean files, reading every entry once.
+    cache.fill(200, 0, 15 * page)
+    assert cache.evictions == 5
+    _CountedRanges.asked = 0
+    cache.fill(201, 0, 10 * page)
+    assert cache.evictions == 15
+    assert list(cache._files) == [*range(30), *range(115, 120), 200, 201]
+    assert _CountedRanges.asked == 0

@@ -38,12 +38,18 @@ class _Always:
 
 
 class PollingArray(DiskArray):
-    """The array before dispatch-on-change: no flag, no ready index."""
+    """The array before dispatch-on-change: no flag, no ready index, and
+    no count of armed wake-ups (every submission walks all of them)."""
 
     def __init__(self, *args, **kw):
         super().__init__(*args, **kw)
         # The spindle loops read this when they first run, after here.
         self._changed = _Always()
+
+    def _notify(self, spindles):
+        for wakeup in self._wakeups:
+            if not wakeup.triggered:
+                wakeup.succeed()
 
     def _pop_rr(self, spindle, op):
         schedulers = self._schedulers
@@ -216,3 +222,40 @@ def test_schedule_matches_polling(name):
     played = _play(DiskArray, SCHEDULES[name])
     assert played == _play(PollingArray, SCHEDULES[name])
     assert played[0], "the schedule dispatched nothing"
+
+
+def _one_write_per_spindle(array):
+    """A start address on each spindle, in spindle order."""
+    starts = {}
+    address = 0
+    while len(starts) < array.params.num_spindles:
+        starts.setdefault(array.params.spindle_of(address), address)
+        address += array.params.stripe
+    return [starts[spindle] for spindle in sorted(starts)]
+
+
+def test_notify_with_every_spindle_busy_schedules_nothing():
+    env = Environment()
+    array = DiskArray(env, PARAMS, StreamRNG(3).stream("disk"))
+    device = BlockDevice(env, 0, array)
+    env.run()  # every spindle asleep on an armed wake-up
+    assert array._armed == PARAMS.num_spindles
+    before = env.scheduled_events
+    array._notify(range(PARAMS.num_spindles))
+    assert env.scheduled_events - before == PARAMS.num_spindles
+    assert array._armed == 0
+    env.run()
+
+    for start in _one_write_per_spindle(array):
+        device.submit_write(start, UNIT, file_id=1, sync=True)
+    while len(array.in_flight) < PARAMS.num_spindles:
+        env.step()
+    assert array._armed == sum(
+        not wakeup.triggered for wakeup in array._wakeups
+    ) == 0
+    before = env.scheduled_events
+    array._notify(range(PARAMS.num_spindles))
+    assert env.scheduled_events == before
+    env.run()
+    assert array._armed == PARAMS.num_spindles
+    assert array.stable.total() == PARAMS.num_spindles * UNIT

@@ -414,3 +414,97 @@ def test_smoke_rejects_a_missing_report_directory_before_connecting(
     )
     assert code == 2
     assert "output directory does not exist" in capsys.readouterr().err
+
+
+def test_run_refuses_more_processes_than_clients(capsys, monkeypatch):
+    import repro.cli
+
+    monkeypatch.setattr(repro.cli, "build_cluster", _refuse)
+    argv = ["run", "--clients", "2", "--processes", "3", "--duration", "0.05"]
+    assert main(argv) == 2
+    assert "--processes 3 exceeds --clients 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, complaint",
+    [
+        (["serve", "--shards", "0"], "argument --shards: must be"),
+        (["serve", "--daemons", "0"], "argument --daemons: must be"),
+        (["serve", "--volume-size", "0"], "argument --volume-size: must be"),
+        (["serve", "--drop-every", "-1"], "argument --drop-every: must be"),
+        (
+            ["serve-shard", "--shard", "0", "--shards", "0"],
+            "argument --shards: must be",
+        ),
+        (
+            ["serve-shard", "--shard", "-1", "--shards", "2"],
+            "argument --shard: must be",
+        ),
+        (
+            ["serve-shard", "--shard", "2", "--shards", "2"],
+            "--shard 2 is not below --shards 2",
+        ),
+        (["smoke", "--clients", "0"], "argument --clients: must be"),
+        (["smoke", "--files", "0"], "argument --files: must be"),
+        (["smoke", "--file-size", "0"], "argument --file-size: must be"),
+    ],
+)
+def test_live_verbs_refuse_out_of_range_numbers(
+    capsys, tmp_path, monkeypatch, argv, complaint
+):
+    import asyncio
+    import subprocess
+
+    monkeypatch.setattr(subprocess, "Popen", _refuse)
+    monkeypatch.setattr(asyncio, "run", _refuse)
+    data_dir = tmp_path / "data"
+    try:
+        code = main(argv + ["--data-dir", str(data_dir)])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert complaint in capsys.readouterr().err
+    assert not (data_dir / "cluster.json").exists()
+
+
+class _FakeShard:
+    """A ``subprocess.Popen`` stand-in for one shard: READY, then exit."""
+
+    def __init__(self, cmd, **_kwargs):
+        port = 7000 + int(cmd[cmd.index("--shard") + 1])
+        self._lines = [f"READY port={port}\n"]
+        self.stdout = self
+
+    def readline(self):
+        return self._lines.pop(0) if self._lines else ""
+
+    def wait(self, timeout=None):
+        return 0
+
+    def poll(self):
+        return 0
+
+
+def test_serve_never_shows_a_half_written_cluster_file(
+    capsys, tmp_path, monkeypatch
+):
+    import subprocess
+
+    import repro.cli
+
+    cluster_path = tmp_path / "cluster.json"
+    dump = json.dump
+
+    def watched_dump(obj, handle, **kwargs):
+        # Whatever polls for cluster.json must not find it yet.
+        assert not cluster_path.exists()
+        dump(obj, handle, **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", _FakeShard)
+    monkeypatch.setattr(repro.cli.json, "dump", watched_dump)
+    assert main(["serve", "--shards", "2", "--data-dir", str(tmp_path)]) == 0
+    assert json.loads(cluster_path.read_text())["addresses"] == [
+        ["127.0.0.1", 7000],
+        ["127.0.0.1", 7001],
+    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cluster.json"]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.intervals import IntervalSet
+from repro.util.intervals import BatchedIntervalSet, IntervalSet
 
 
 def test_empty_set():
@@ -166,3 +166,67 @@ def test_intersection_matches_model(ops, window):
     inter = s.intersection(w0, w1)
     expected = {p for p in model if w0 <= p < w1}
     assert inter.total() == len(expected)
+
+
+class _SmallBatches(BatchedIntervalSet):
+    """Folds every three adds, so a short run folds several times."""
+
+    __slots__ = ()
+    BATCH = 3
+
+
+_READS = ("list", "len", "bool", "total", "contains", "overlaps", "window")
+
+_STABLE_OPS = st.lists(
+    st.one_of(
+        # Small addresses and lengths: overlaps and adjacency are common.
+        st.tuples(st.just("add"), st.integers(0, 40), st.integers(0, 6)),
+        st.tuples(st.just("remove"), st.integers(0, 40), st.integers(0, 6)),
+        st.tuples(st.sampled_from(_READS), st.integers(0, 40),
+                  st.integers(0, 6)),
+    ),
+    max_size=60,
+)
+
+
+def _read(target, kind, start, end):
+    if kind == "list":
+        return list(target)
+    if kind == "len":
+        return len(target)
+    if kind == "bool":
+        return bool(target)
+    if kind == "total":
+        return target.total()
+    if kind == "window":
+        return list(target.intersection(start, end))
+    return getattr(target, kind)(start, end)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_STABLE_OPS)
+def test_batched_set_reads_as_one_add_at_a_time(ops):
+    batched, plain = _SmallBatches(), IntervalSet()
+    for kind, start, length in ops:
+        end = start + length
+        if kind in ("add", "remove"):
+            getattr(batched, kind)(start, end)
+            getattr(plain, kind)(start, end)
+        else:  # a read taken mid-run
+            assert _read(batched, kind, start, end) == _read(
+                plain, kind, start, end
+            )
+    assert batched == plain and plain == batched
+    assert list(batched) == list(plain)
+
+
+def test_batched_set_folds_a_full_buffer_in_one_pass():
+    batched = _SmallBatches()
+    batched.add(20, 30)
+    batched.add(0, 10)
+    assert batched._starts == []  # still buffered
+    batched.add(10, 12)  # the third add folds all three
+    assert batched._pending == []
+    assert (batched._starts, batched._ends) == ([0, 20], [12, 30])
+    with pytest.raises(ValueError):
+        batched.add(5, 4)
