@@ -3,9 +3,9 @@
 Every node, daemon thread, disk head and network link in the simulated
 cluster is a generator process running against the virtual clock
 provided here.  :class:`Environment` implements the
-:class:`repro.core.effects.Effects` contract over a
-:class:`CalendarQueue` of ``(time, priority, sequence, event)`` entries;
-``SimEffects`` is the same class under its effects name, next to
+:class:`repro.core.effects.Effects` contract over one binary heap of
+``(time, priority, sequence, event)`` entries; ``SimEffects`` is the
+same class under its effects name, next to
 :class:`repro.rt.AsyncioEffects`.
 
 This package holds the substrate only.  The event, process and resource
@@ -27,10 +27,10 @@ Example
 [1.5]
 """
 
-from repro.sim.engine import CalendarQueue, Environment, SimulationError
+from repro.sim.engine import Environment, SimulationError
 
 #: The engine under its effects name: protocol assembly code that wants
 #: to say "the virtual-time substrate" rather than "the simulator".
 SimEffects = Environment
 
-__all__ = ["CalendarQueue", "Environment", "SimEffects", "SimulationError"]
+__all__ = ["Environment", "SimEffects", "SimulationError"]

@@ -1,20 +1,12 @@
 """The virtual clock and event calendar.
 
-:class:`Environment` owns a :class:`CalendarQueue` of ``(time, priority,
-sequence, event)`` entries.  :meth:`Environment.step` pops the earliest
-entry, advances ``now`` and runs the event's callbacks;
-:meth:`Environment.run` steps until the calendar empties, a deadline
-passes, or a given event fires.
-
-:class:`CalendarQueue` is a bucketed calendar queue in the style of
-Brown (CACM 1988): events hash into ``floor(t / width)`` buckets over a
-power-of-two ring, the current bucket serves pops in O(1) amortized, and
-far-future events (lease expiries, retry backoff) park in a binary-heap
-overflow lane until the bucket horizon reaches them.  Bucket count and
-width resize themselves from the observed event population (see
-``_rebuild``).  Its pop order is exactly that of one global binary heap
-over the same entries; the tests keep such a heap
-(``tests/sim/reference_heap.py``) and diff the two.
+:class:`Environment` owns the calendar: one binary heap (a plain list
+under :mod:`heapq`) of ``(time, priority, sequence, event, push_time)``
+entries.  :meth:`Environment.schedule` is the one place an entry is
+pushed; :meth:`Environment.step` pops the earliest entry, advances
+``now`` and runs the event's callbacks; :meth:`Environment.run` steps
+until the calendar empties, a deadline passes, or a given event fires,
+with the pop inlined in its loop.
 
 Determinism
 -----------
@@ -28,8 +20,8 @@ Cancelled timeouts
 ------------------
 :meth:`~repro.core.kernel.events.Timeout.cancel` tombstones an entry in place
 (its callback list becomes ``None``); the pop loops skip tombstones, and
-the environment compacts the scheduler when cancelled entries outnumber
-live ones, so retry/backoff churn cannot bloat the calendar.
+the environment compacts the heap when cancelled entries outnumber live
+ones, so retry/backoff churn cannot bloat the calendar.
 
 The cyclic collector
 --------------------
@@ -38,7 +30,7 @@ for its loop and puts the caller's setting back on every exit.  A
 model's garbage is freed by reference counting; what the collector's
 young passes would find inside a run is nothing, so they cost host time
 alone.  Discarded simulations *are* cyclic garbage, so a run that ends
-with the heap a quarter larger than after the last full pass runs one
+with the Python heap a quarter larger than after the last full pass runs one
 (see :class:`_CollectorPause`).
 """
 
@@ -46,7 +38,6 @@ from __future__ import annotations
 
 import gc as _gc
 import heapq
-import math
 import typing as _t
 from sys import getallocatedblocks as _getallocatedblocks
 from sys import getrefcount as _getrefcount
@@ -60,11 +51,28 @@ from repro.core.kernel.process import Process
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 _heapify = heapq.heapify
-_floor = math.floor
 _INF = float("inf")
 
 #: Recycled Timeout objects kept per environment (see ``Environment.timeout``).
 _TIMEOUT_POOL_MAX = 1024
+
+
+def _sole_refcount() -> int:
+    """What ``getrefcount`` reads for a Timeout held by one local only.
+
+    The dispatch loops read the same count on a popped Timeout (held by
+    their ``event`` local alone once the entry tuple is gone) to decide
+    that nothing else can see it.  The number is the interpreter's, not
+    the model's: the call convention adds a reference for the argument
+    on some versions and not on others, so it is measured here, from a
+    call site shaped like theirs, rather than written down.
+    """
+    timer = Timeout.__new__(Timeout)
+    return _getrefcount(timer)
+
+
+#: ``getrefcount`` of a popped Timeout nobody else references.
+_SOLE_REFS = _sole_refcount()
 
 #: Entry tuple: (time, priority, seq, event, push_time).  The trailing
 #: push-time element never participates in ordering (the sequence number
@@ -81,244 +89,6 @@ class _StopRun(Exception):
 
     def __init__(self, event: Event) -> None:
         self.event = event
-
-
-class CalendarQueue:
-    """Bucketed calendar queue with a far-future overflow heap.
-
-    Entries hash into ``floor(t / width) & (nbuckets - 1)`` buckets (each
-    bucket a tiny heap, so intra-bucket priority/sequence ties stay
-    exact).  A pop serves the current bucket if its head falls inside the
-    bucket's current "year" window; otherwise the scan rotates forward
-    one bucket-width at a time.  Entries beyond the ring's horizon
-    (``nbuckets * width`` ahead) park in a binary-heap overflow lane and
-    migrate into buckets as the horizon advances -- the migration is what
-    keeps the **invariant that every overflow entry sorts after every
-    bucketed entry**, which in turn is what makes the current-bucket fast
-    path safe.
-
-    Resizing: the bucket ring doubles when the population exceeds two
-    entries per bucket and halves when it drops below one per two
-    buckets; each rebuild re-tunes the bucket width to three times the
-    median inter-event gap, snapped to a power of two so boundary
-    arithmetic stays exact (no bucket-edge float drift).
-    """
-
-    MIN_BUCKETS = 16
-    MAX_BUCKETS = 1 << 17
-
-    __slots__ = (
-        "_buckets",
-        "_nbuckets",
-        "_mask",
-        "_width",
-        "_cur",
-        "_bucket_top",
-        "_horizon",
-        "_overflow",
-        "_size",
-        "_last",
-    )
-
-    def __init__(self, start: float = 0.0, width: float = 2.0 ** -14) -> None:
-        self._overflow: _t.List[Entry] = []
-        self._size = 0
-        self._last = start
-        self._layout(self.MIN_BUCKETS, width, start)
-
-    def __len__(self) -> int:
-        return self._size
-
-    # -- geometry ----------------------------------------------------------
-
-    def _layout(self, nbuckets: int, width: float, start: float) -> None:
-        """(Re)build an empty ring anchored so ``start`` is in-window."""
-        self._nbuckets = nbuckets
-        self._mask = nbuckets - 1
-        self._width = width
-        self._buckets: _t.List[_t.List[Entry]] = [
-            [] for _ in range(nbuckets)
-        ]
-        k = _floor(start / width)
-        self._cur = k & self._mask
-        self._bucket_top = (k + 1.0) * width
-        self._horizon = self._bucket_top + (nbuckets - 1) * width
-
-    def _rebuild(self, nbuckets: int) -> None:
-        entries = [e for bucket in self._buckets for e in bucket]
-        entries.extend(self._overflow)
-        self._overflow = []
-        width = self._tuned_width(entries) or self._width
-        self._layout(nbuckets, width, self._last)
-        horizon = self._horizon
-        mask = self._mask
-        buckets = self._buckets
-        overflow = self._overflow
-        for entry in entries:
-            t = entry[0]
-            if t < horizon:
-                _heappush(buckets[_floor(t / width) & mask], entry)
-            else:
-                _heappush(overflow, entry)
-
-    def _tuned_width(self, entries: _t.List[Entry]) -> _t.Optional[float]:
-        """Three times the median inter-event gap, snapped to 2**k."""
-        if len(entries) < 2:
-            return None
-        times = sorted(e[0] for e in entries if e[0] != _INF)
-        gaps = sorted(
-            b - a for a, b in zip(times, times[1:]) if b > a
-        )
-        if not gaps:
-            return None
-        target = 3.0 * gaps[len(gaps) // 2]
-        return 2.0 ** max(-60, min(20, round(math.log2(target))))
-
-    # -- scheduler surface -------------------------------------------------
-
-    def push(self, entry: Entry) -> None:
-        t = entry[0]
-        if t < self._horizon:
-            _heappush(
-                self._buckets[_floor(t / self._width) & self._mask], entry
-            )
-        else:
-            _heappush(self._overflow, entry)
-        size = self._size + 1
-        self._size = size
-        if size > (self._nbuckets << 1) and self._nbuckets < self.MAX_BUCKETS:
-            self._rebuild(self._nbuckets << 1)
-
-    def pop(self) -> _t.Optional[Entry]:
-        """Earliest entry, or ``None`` when empty (never raises)."""
-        if self._size == 0:
-            return None
-        bucket = self._buckets[self._cur]
-        if bucket and bucket[0][0] < self._bucket_top:
-            self._size -= 1
-            entry = _heappop(bucket)
-            self._last = entry[0]
-            return entry
-        return self._pop_slow()
-
-    def _pop_slow(self) -> Entry:
-        """Rotate the ring forward; fall back to a direct min search."""
-        if (
-            self._size < (self._nbuckets >> 1)
-            and self._nbuckets > self.MIN_BUCKETS
-        ):
-            # Sparse ring: shrinking re-anchors the window at the last
-            # popped time, which usually makes the next pop O(1) again.
-            # Retry from the top -- the re-anchored *current* bucket may
-            # now hold the minimum, and the rotation below starts by
-            # advancing past it.
-            self._rebuild(self._nbuckets >> 1)
-            return self.pop()
-        buckets = self._buckets
-        width = self._width
-        mask = self._mask
-        overflow = self._overflow
-        i = self._cur
-        top = self._bucket_top
-        for _ in range(self._nbuckets):
-            i = (i + 1) & mask
-            top += width
-            horizon = self._horizon + width
-            self._horizon = horizon
-            # Horizon advanced one bucket: anything in the overflow lane
-            # that the window now covers must move into its bucket *now*
-            # or a later bucketed entry could be served before it.
-            while overflow and overflow[0][0] < horizon:
-                moved = _heappop(overflow)
-                _heappush(buckets[_floor(moved[0] / width) & mask], moved)
-            bucket = buckets[i]
-            if bucket and bucket[0][0] < top:
-                self._cur = i
-                self._bucket_top = top
-                self._size -= 1
-                entry = _heappop(bucket)
-                self._last = entry[0]
-                return entry
-        return self._pop_direct()
-
-    def _pop_direct(self) -> Entry:
-        """No entry within a full rotation: jump to the global minimum.
-
-        Equal times always land in the same bucket, so comparing bucket
-        heads (full tuples, so priority/seq ties stay exact) against the
-        overflow head finds the true minimum.
-        """
-        best: _t.Optional[Entry] = None
-        for bucket in self._buckets:
-            if bucket and (best is None or bucket[0] < best):
-                best = bucket[0]
-        overflow = self._overflow
-        if overflow and (best is None or overflow[0] < best):
-            best = overflow[0]
-        assert best is not None  # _size > 0
-        t = best[0]
-        if t == _INF:
-            # Degenerate (delay=inf): serve straight from the overflow
-            # heap; floor(inf / width) has no bucket.
-            self._size -= 1
-            return _heappop(overflow)
-        width = self._width
-        mask = self._mask
-        k = _floor(t / width)
-        self._cur = k & mask
-        self._bucket_top = (k + 1.0) * width
-        horizon = self._bucket_top + mask * width
-        if horizon > self._horizon:
-            self._horizon = horizon
-            buckets = self._buckets
-            while overflow and overflow[0][0] < horizon:
-                moved = _heappop(overflow)
-                _heappush(buckets[_floor(moved[0] / width) & mask], moved)
-        bucket = self._buckets[self._cur]
-        if not bucket:
-            # t / width >= 2**53 (the width clamps at 2**-60): adding a
-            # bucket width to t rounds back to t, the horizon above
-            # stopped *at* t, and the minimum was not migrated.  It is
-            # still the overflow head; serve it from there.
-            bucket = overflow
-        self._size -= 1
-        entry = _heappop(bucket)
-        self._last = entry[0]
-        return entry
-
-    def peek_time(self) -> float:
-        if self._size == 0:
-            return _INF
-        bucket = self._buckets[self._cur]
-        if bucket and bucket[0][0] < self._bucket_top:
-            return bucket[0][0]
-        best = _INF
-        for bucket in self._buckets:
-            if bucket and bucket[0][0] < best:
-                best = bucket[0][0]
-        overflow = self._overflow
-        if overflow and overflow[0][0] < best:
-            best = overflow[0][0]
-        return best
-
-    def purge_cancelled(self) -> int:
-        """Drop tombstoned entries (cancelled events); return the count."""
-        removed = 0
-        for bucket in self._buckets:
-            if bucket:
-                keep = [e for e in bucket if e[3].callbacks is not None]
-                if len(keep) != len(bucket):
-                    removed += len(bucket) - len(keep)
-                    _heapify(keep)
-                    bucket[:] = keep
-        overflow = self._overflow
-        keep = [e for e in overflow if e[3].callbacks is not None]
-        if len(keep) != len(overflow):
-            removed += len(overflow) - len(keep)
-            _heapify(keep)
-            overflow[:] = keep
-        self._size -= removed
-        return removed
 
 
 class Environment(Effects):
@@ -339,24 +109,21 @@ class Environment(Effects):
 
     __slots__ = (
         "_now",
-        "_queue",
+        "_heap",
         "_seq",
         "_active_process",
         "obs",
         "probe",
-        "_push",
-        "_pop",
         "_timeout_pool",
         "_cancelled",
     )
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        self._queue = CalendarQueue(start=self._now)
-        # Bound methods: one attribute hop saved on the two operations
-        # that run once per simulated event.
-        self._push = self._queue.push
-        self._pop = self._queue.pop
+        #: The calendar: a binary heap of :data:`Entry` tuples.  Never
+        #: rebound (compaction rewrites it in place), so the dispatch
+        #: loops may keep it in a local.
+        self._heap: _t.List[Entry] = []
         self._seq = 0
         self._active_process: _t.Optional[Process] = None
         self.obs: _t.Optional[_t.Any] = None
@@ -393,7 +160,7 @@ class Environment(Effects):
     @property
     def pending_events(self) -> int:
         """Entries currently on the calendar (tombstones included)."""
-        return len(self._queue)
+        return len(self._heap)
 
     def timeout(self, delay: float, value: _t.Any = None) -> Timeout:
         """An event that fires ``delay`` seconds from now.
@@ -429,7 +196,7 @@ class Environment(Effects):
         seq = self._seq
         self._seq = seq + 1
         now = self._now
-        self._push((now + delay, priority, seq, event, now))
+        _heappush(self._heap, (now + delay, priority, seq, event, now))
 
     def peek(self) -> float:
         """Time of the next scheduled entry, or ``inf`` if none.
@@ -437,36 +204,26 @@ class Environment(Effects):
         A cancelled-but-unpopped timeout still counts -- its tombstone
         occupies the slot until swept.
         """
-        return self._queue.peek_time()
+        heap = self._heap
+        return heap[0][0] if heap else _INF
 
     def _note_cancelled(self) -> None:
         """A queued entry was tombstoned (see ``Timeout.cancel``).
 
-        When tombstones outnumber live entries the scheduler is
-        compacted, so repeated cancel/reschedule churn (RPC retry timers,
-        backoff) keeps the calendar bounded by the *live* event count.
+        When tombstones outnumber live entries the heap is compacted, so
+        repeated cancel/reschedule churn (RPC retry timers, backoff)
+        keeps the calendar bounded by the *live* event count.  Entries
+        are unique under ``(time, priority, seq)``, so re-heapifying the
+        survivors leaves the pop order as it was.
         """
         cancelled = self._cancelled + 1
-        queue = self._queue
-        if cancelled >= 64 and (cancelled << 1) > len(queue):
-            queue.purge_cancelled()
+        heap = self._heap
+        if cancelled >= 64 and (cancelled << 1) > len(heap):
+            heap[:] = [e for e in heap if e[3].callbacks is not None]
+            _heapify(heap)
             self._cancelled = 0
         else:
             self._cancelled = cancelled
-
-    def _recycle(self, event: Event) -> None:
-        """Return a dead Timeout to the free list if nothing else can see it.
-
-        ``getrefcount == 3`` means the only references are the event
-        loop's local, this frame's parameter and getrefcount's own
-        argument -- no process, condition or user code holds the object,
-        so reuse is invisible.  Exact-type check: subclasses may carry
-        extra state we must not resurrect.
-        """
-        if type(event) is Timeout and _getrefcount(event) == 3:
-            pool = self._timeout_pool
-            if len(pool) < _TIMEOUT_POOL_MAX:
-                pool.append(event)
 
     def step(self) -> None:
         """Process the next scheduled event (skipping tombstones).
@@ -477,37 +234,37 @@ class Environment(Effects):
             If the calendar is empty, or the event failed and nobody
             defused the failure.
         """
-        entry = self._pop()
-        if entry is None:
+        heap = self._heap
+        if not heap:
             raise SimulationError(
                 "cannot step: the event calendar is empty"
             )
-        while True:
-            when, _prio, _seq, event, pushed = entry
-            del entry
+        pool = self._timeout_pool
+        callbacks = None
+        while callbacks is None and heap:
+            when, _prio, _seq, event, pushed = _heappop(heap)
             callbacks = event.callbacks
-            if callbacks is not None:
-                break
-            # Tombstone: a timeout cancelled after scheduling.
-            self._cancelled -= 1
-            self._recycle(event)
-            entry = self._pop()
-            if entry is None:
-                return  # only tombstones remained; nothing to process
-        self._now = when
-        if self.probe is not None:
-            self.probe.on_step(when - pushed, len(self._queue) + 1)
-
-        event.callbacks = None
-        for callback in callbacks:
-            callback(event)
-
-        if not event._ok and not event._defused:
-            cause = event._value
-            raise SimulationError(
-                f"unhandled failure in {event!r}: {cause!r}"
-            ) from cause
-        self._recycle(event)
+            if callbacks is None:
+                # Tombstone: a timeout cancelled after scheduling.
+                self._cancelled -= 1
+            else:
+                self._now = when
+                if self.probe is not None:
+                    self.probe.on_step(when - pushed, len(heap) + 1)
+                event.callbacks = None
+                for callback in callbacks:
+                    callback(event)
+                if not event._ok and not event._defused:
+                    cause = event._value
+                    raise SimulationError(
+                        f"unhandled failure in {event!r}: {cause!r}"
+                    ) from cause
+            if (
+                type(event) is Timeout
+                and _getrefcount(event) == _SOLE_REFS
+                and len(pool) < _TIMEOUT_POOL_MAX
+            ):
+                pool.append(event)
 
     def run(self, until: _t.Union[None, float, Event] = None) -> _t.Any:
         """Run the simulation.
@@ -565,37 +322,43 @@ class Environment(Effects):
             # inlined here with the probe branch hoisted out entirely --
             # the pop order (and therefore every trace) is identical to
             # repeated ``step()`` calls; only the Python overhead per
-            # event differs.  The scheduler object is never rebound, so
-            # the local aliases stay valid across callbacks that schedule.
-            pop = self._pop
-            recycle = self._recycle
+            # event differs.  The heap is never rebound, so the local
+            # alias stays valid across callbacks that schedule.
+            #
+            # Free list: a popped Timeout that only ``event`` still
+            # references goes back to the pool (see :meth:`timeout`);
+            # the exact-type test keeps subclasses, which may carry
+            # extra state, out of it.
+            heap = self._heap
             if self.probe is None:
-                while True:
-                    entry = pop()
-                    if entry is None:
-                        break
-                    event = entry[3]
+                heappop = _heappop
+                getrefcount = _getrefcount
+                sole = _SOLE_REFS
+                pool = self._timeout_pool
+                while heap:
+                    when, _prio, _seq, event, _pushed = heappop(heap)
                     callbacks = event.callbacks
                     if callbacks is None:
                         # Tombstone (cancelled timeout): skip.
                         self._cancelled -= 1
-                        del entry
-                        recycle(event)
-                        continue
-                    self._now = entry[0]
-                    del entry
-                    event.callbacks = None
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        cause = event._value
-                        raise SimulationError(
-                            f"unhandled failure in {event!r}: {cause!r}"
-                        ) from cause
-                    recycle(event)
+                    else:
+                        self._now = when
+                        event.callbacks = None
+                        for callback in callbacks:
+                            callback(event)
+                        if not event._ok and not event._defused:
+                            cause = event._value
+                            raise SimulationError(
+                                f"unhandled failure in {event!r}: {cause!r}"
+                            ) from cause
+                    if (
+                        type(event) is Timeout
+                        and getrefcount(event) == sole
+                        and len(pool) < _TIMEOUT_POOL_MAX
+                    ):
+                        pool.append(event)
             else:
-                queue = self._queue
-                while len(queue):
+                while heap:
                     self.step()
         except _StopRun as stop:
             event = stop.event

@@ -171,6 +171,10 @@ class DiskArray:
         self._rr_index = [0] * n
         #: Consecutive reads served per spindle (write-starvation bound).
         self._read_streak = [0] * n
+        #: READs queued per spindle across every client queue (each
+        #: queue keeps its share current): zero spares a READ pass
+        #: that could only ask every queue and find nothing.
+        self._queued_reads = [0] * n
         #: Serve at most this many reads in a row while writes wait (the
         #: Linux deadline scheduler's ``writes_starved`` knob).  One
         #: alternates read and write rounds whenever both are pending,
@@ -272,7 +276,7 @@ class DiskArray:
         """Register a client's elevator queue with the array."""
         scheduler.on_submit = self._notify
         scheduler.on_drop = self._mark_changed
-        scheduler.set_spindle_map(self._spindle_of)
+        scheduler.set_spindle_map(self._spindle_of, self._queued_reads)
         self._schedulers.append(scheduler)
         # The queue may arrive with requests already in it.
         self._mark_changed(range(self.params.num_spindles))
@@ -339,10 +343,11 @@ class DiskArray:
             if request is not None:
                 self._read_streak[spindle] = 0
                 return request
-        request = self._pop_rr(spindle, READ)
-        if request is not None:
-            self._read_streak[spindle] += 1
-            return request
+        if self._queued_reads[spindle]:
+            request = self._pop_rr(spindle, READ)
+            if request is not None:
+                self._read_streak[spindle] += 1
+                return request
         if not writes_first:
             request = self._pop_rr(spindle, WRITE)
             if request is not None:

@@ -232,15 +232,24 @@ class ElevatorScheduler:
             READ: {},
             WRITE: {},
         }
+        #: Queued READs per spindle, a list shared by every queue of one
+        #: array and kept current by each of them (see
+        #: :meth:`set_spindle_map`); ``None`` when nobody shares one.
+        self.queued_reads: _t.Optional[_t.List[int]] = None
 
     def set_spindle_map(
-        self, spindle_of: _t.Callable[[int], int]
+        self,
+        spindle_of: _t.Callable[[int], int],
+        queued_reads: _t.Optional[_t.List[int]] = None,
     ) -> None:
         """Install the array's address->spindle function.
 
         Caches each queued request's spindle and starts maintaining the
         per-spindle views and deadline orders the ``*_for_spindle``
-        methods need.
+        methods need.  ``queued_reads``, when given, is a per-spindle
+        count this queue adds its queued READs to, now and as they come
+        and go, so the owner can tell at once that no queue holds a READ
+        for a spindle.
         """
         self.spindle_map = spindle_of
         sp_queue: _t.Dict[int, _t.List[BlockRequest]] = {}
@@ -266,6 +275,10 @@ class ElevatorScheduler:
         self._sp_queue = sp_queue
         self._sp_starts = sp_starts
         self._due = due
+        self.queued_reads = queued_reads
+        if queued_reads is not None:
+            for sp, order in due[READ].items():
+                queued_reads[sp] += len(order)
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -321,6 +334,8 @@ class ElevatorScheduler:
             self._due[op][sp] = [entry]
         else:
             bisect.insort(order, entry)
+        if op == READ and self.queued_reads is not None:
+            self.queued_reads[sp] += 1
         reqs = table.get(sp)
         if reqs is None:
             table[sp] = [request]
@@ -361,6 +376,8 @@ class ElevatorScheduler:
         if table is None:
             return
         sp = request.spindle
+        if op == READ and self.queued_reads is not None:
+            self.queued_reads[sp] -= 1
         order = self._due[op][sp]
         # A 3-tuple sorts just before the one entry it prefixes.
         del order[
@@ -579,6 +596,9 @@ class ElevatorScheduler:
         self._plugged.clear()
         if self._sp_queue is not None:
             touched = [sp for sp, reqs in self._sp_queue.items() if reqs]
+            if self.queued_reads is not None:
+                for sp, order in self._due[READ].items():
+                    self.queued_reads[sp] -= len(order)
             self._sp_queue.clear()
             self._sp_starts.clear()
             for orders in self._due.values():

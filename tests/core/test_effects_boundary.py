@@ -103,8 +103,9 @@ def test_no_source_level_sim_import_in_protocol_layer():
 
 def test_sim_effects_is_the_kernel_environment():
     """``repro.sim`` is the substrate and nothing else: the engine under
-    its two names, its error and its calendar.  Kernel classes have one
-    home, :mod:`repro.core.kernel`."""
+    its two names and its error; the calendar is the engine's own heap,
+    not an export.  Kernel classes have one home,
+    :mod:`repro.core.kernel`."""
     import repro.sim
     from repro.core.effects import Effects
     from repro.sim import Environment, SimEffects
@@ -112,7 +113,6 @@ def test_sim_effects_is_the_kernel_environment():
     assert issubclass(Environment, Effects)
     assert SimEffects is Environment
     assert sorted(repro.sim.__all__) == [
-        "CalendarQueue",
         "Environment",
         "SimEffects",
         "SimulationError",

@@ -259,3 +259,100 @@ def test_notify_with_every_spindle_busy_schedules_nothing():
     env.run()
     assert array._armed == PARAMS.num_spindles
     assert array.stable.total() == PARAMS.num_spindles * UNIT
+
+
+class CountCheckingArray(DiskArray):
+    """The production array, checking before every pick that its count
+    of queued READs per spindle is what the queues hold."""
+
+    def _next_request(self, spindle):
+        for sp, count in enumerate(self._queued_reads):
+            assert count == sum(
+                len(scheduler._due[READ].get(sp, ()))
+                for scheduler in self._schedulers
+            )
+        return super()._next_request(spindle)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_STEP, min_size=1, max_size=60))
+def test_read_counts_track_the_queues(steps):
+    assert _play(CountCheckingArray, steps) == _play(PollingArray, steps)
+
+
+def _probes(monkeypatch, steps):
+    """READ and WRITE ``has_request_for_spindle`` calls of one run."""
+    probes = {READ: 0, WRITE: 0}
+    has_request = ElevatorScheduler.has_request_for_spindle
+
+    def counted(self, spindle_id, op=None):
+        probes[op] += 1
+        return has_request(self, spindle_id, op)
+
+    monkeypatch.setattr(
+        ElevatorScheduler, "has_request_for_spindle", counted
+    )
+    assert _play(DiskArray, steps)[0], "the schedule dispatched nothing"
+    return probes
+
+
+def test_write_only_run_makes_no_read_probes(monkeypatch):
+    writes = [
+        (0.0, "write", 0, 4, 1, 0),
+        (0.004, "sync_write", 1, 9, 2, 1),
+        (0.0, "write", 2, 20, 1, 2),
+        (0.013, "write", 0, 5, 1, 0),
+        (0.06, "sync_write", 2, 33, 1, 2),
+    ]
+    probes = _probes(monkeypatch, writes)
+    assert probes[READ] == 0
+    assert probes[WRITE] > 0
+    # The same run with one READ in it probes for READs again.
+    mixed = writes + [(0.0, "read", 1, 40, 1, 1)]
+    assert _probes(monkeypatch, mixed)[READ] > 0
+
+
+def _read_counts(array):
+    return [
+        sum(
+            len(scheduler._due[READ].get(sp, ()))
+            for scheduler in array._schedulers
+        )
+        for sp in range(array.params.num_spindles)
+    ]
+
+
+def test_read_counts_follow_drop_all_and_late_attach():
+    env = Environment()
+    array = DiskArray(env, PARAMS, StreamRNG(3).stream("disk"))
+    device = BlockDevice(env, 0, array)
+    # One stripe, one instant, no merge: one READ dispatches, the
+    # others queue behind it.
+    for unit in (0, 2):
+        device.submit_read(unit * UNIT, UNIT, file_id=0)
+    device.submit_read(9 * UNIT, UNIT, file_id=0)
+    while not array.in_flight:
+        env.step()
+    assert array._queued_reads == _read_counts(array)
+    assert sum(array._queued_reads) == 2
+    device.scheduler.drop_all()
+    assert array._queued_reads == [0] * PARAMS.num_spindles
+
+    late = ElevatorScheduler(env, 1)
+    for unit in (5, 9):
+        late.submit(
+            BlockRequest(
+                op=READ,
+                start=unit * UNIT,
+                length=UNIT,
+                client_id=1,
+                file_id=1,
+                submit_time=env.now,
+                completion=Event(env),
+            )
+        )
+    array.attach(late)
+    assert array._queued_reads == _read_counts(array)
+    assert sum(array._queued_reads) == 2
+    env.run()
+    assert array._queued_reads == [0] * PARAMS.num_spindles
