@@ -52,9 +52,8 @@ def main() -> None:
     for attempt in range(8):
         cluster = launch("unordered")
         state = crash_cluster(cluster, at_time=cluster.env.now + 0.05 * (attempt + 1))
-        report = check_ordered_writes(
-            state.namespace, state.stable, state.space
-        )
+        ((namespace, space),) = state.shards
+        report = check_ordered_writes(namespace, state.stable, space)
         if not report.consistent:
             print(f"crash at t={state.crash_time:.3f}s: {report.summary()}")
             worst = report.violations[0]

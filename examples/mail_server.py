@@ -60,10 +60,9 @@ def main() -> None:
     # verify the ordered-writes invariant holds.
     for client in last_cluster.clients:
         client.crash()
+    mds = last_cluster.metadata.shard(0)
     report = check_ordered_writes(
-        last_cluster.namespace,
-        last_cluster.array.stable,
-        last_cluster.space,
+        mds.namespace, last_cluster.array.stable, mds.space
     )
     print(f"\nPost-crash check: {report.summary()}")
     assert report.consistent

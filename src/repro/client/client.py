@@ -74,7 +74,6 @@ class RedbudClient(FileSystemAPI):
         blockdev: BlockDevice,
         cache: _t.Optional[PageCache] = None,
         commit_mode: str = "synchronous",
-        delegation: _t.Optional[DoubleSpacePool] = None,
         commit_queue_capacity: int = 4096,
         thread_pool_policy: ThreadPoolPolicy = ThreadPoolPolicy(),
         compound_policy: CompoundPolicy = CompoundPolicy(),
@@ -96,19 +95,12 @@ class RedbudClient(FileSystemAPI):
         self.blockdev = blockdev
         self.cache = cache if cache is not None else PageCache()
         self.commit_mode = commit_mode
-        #: Delegated space is per metadata shard: each shard hands out
-        #: chunks from its own allocation groups, so the client pools
-        #: them separately.  ``delegation`` (the single-MDS surface)
-        #: stays the shard-0 pool.
         self.num_shards = num_shards
         self._shard_of_file = shard_of_file
-        if delegation_pools is not None:
-            self._pools = dict(delegation_pools)
-        elif delegation is not None:
-            self._pools = {0: delegation}
-        else:
-            self._pools = {}
-        self.delegation = self._pools.get(0)
+        #: Delegated space is per metadata shard: each shard hands out
+        #: chunks from its own allocation groups, so the client pools
+        #: them separately (empty without space delegation).
+        self.delegation_pools = dict(delegation_pools or {})
         self.device_id = device_id
         #: Observability bundle (``repro.obs.Instrumentation``) or None.
         self.obs = env.obs
@@ -420,7 +412,7 @@ class RedbudClient(FileSystemAPI):
     ) -> _t.Generator:
         """Return the new extents backing ``[offset, offset+length)``."""
         shard = self._shard_for(file_id)
-        pool = self._pools.get(shard)
+        pool = self.delegation_pools.get(shard)
         if not scattered and pool is not None and pool.can_serve(length):
             self.space_local_allocs += 1
             volume_offset = yield from self._delegated_alloc(shard, length)
@@ -455,21 +447,21 @@ class RedbudClient(FileSystemAPI):
 
     def _delegated_alloc(self, shard: int, length: int) -> _t.Generator:
         """Allocate locally, fetching a fresh chunk if the pool ran dry."""
-        pool = self._pools[shard]
+        pool = self.delegation_pools[shard]
         while True:
             volume_offset = pool.alloc(length)
             if volume_offset is not None:
                 return volume_offset
             yield self._start_refill(shard)
 
-    def _start_refill(self, shard: int = 0) -> Event:
+    def _start_refill(self, shard: int) -> Event:
         """Kick off (or join) an in-flight delegation RPC for a shard."""
         pending = self._refill_events.get(shard)
         if pending is not None:
             return pending
         done = Event(self.env)
         self._refill_events[shard] = done
-        pool = self._pools[shard]
+        pool = self.delegation_pools[shard]
 
         def refill_proc() -> _t.Generator:
             chunk = yield self.rpc.call(
@@ -485,9 +477,9 @@ class RedbudClient(FileSystemAPI):
         self.env.process(refill_proc(), name=f"refill-{self.client_id}")
         return done
 
-    def _maybe_background_refill(self, shard: int = 0) -> None:
+    def _maybe_background_refill(self, shard: int) -> None:
         """Proactively refresh the standby chunk without blocking."""
-        pool = self._pools.get(shard)
+        pool = self.delegation_pools.get(shard)
         if (
             pool is not None
             and pool.needs_refill
@@ -570,8 +562,8 @@ class RedbudClient(FileSystemAPI):
         """Graceful stop: flush commits, return unused delegated space."""
         for file_id in list(self._pending_records):
             yield from self.fsync(file_id)
-        for shard in sorted(self._pools):
-            leftovers = self._pools[shard].drain()
+        for shard in sorted(self.delegation_pools):
+            leftovers = self.delegation_pools[shard].drain()
             if leftovers:
                 from repro.net.messages import ReleasePayload
 

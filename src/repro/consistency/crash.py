@@ -29,15 +29,13 @@ from repro.util.intervals import IntervalSet
 class CrashState:
     """What survives a power loss.
 
-    ``namespace``/``space`` are shard 0's durable state (the whole
-    cluster's when unsharded); ``shards`` carries every shard's
-    ``(namespace, space)`` pair so recovery and the oracle can scan a
-    sharded deployment shard by shard.
+    ``shards`` carries every shard's durable ``(namespace, space)``
+    pair (one pair for the paper's single MDS), so recovery and the
+    oracle scan a deployment shard by shard.
     """
 
     crash_time: float
-    namespace: Namespace
-    space: SpaceManager
+    shards: _t.Tuple[_t.Tuple[Namespace, SpaceManager], ...]
     stable: IntervalSet
     #: Commit records that were sitting in client queues (lost work).
     lost_commit_records: int
@@ -45,15 +43,9 @@ class CrashState:
     #: queued in a client elevator *or* dispatched to a spindle and
     #: mid-service (lost data writes either way).
     lost_block_requests: int
-    #: Per-shard durable state; always at least ``((namespace, space),)``.
-    shards: _t.Tuple[_t.Tuple[Namespace, SpaceManager], ...] = ()
     #: Witnessed-but-unsynced commit ops at the crash instant, as
     #: ``(client_id, op_id, file_id, extents)`` tuples (CURP replay).
     witnessed_ops: _t.Tuple[_t.Tuple[int, int, int, _t.Any], ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.shards:
-            self.shards = ((self.namespace, self.space),)
 
 
 def crash_cluster(
@@ -83,12 +75,12 @@ def crash_cluster(
             lost_records += len(client.commit_queue)
         client.crash()
 
-    witnesses = getattr(cluster, "witnesses", None)
-
+    witnesses = cluster.witnesses
     return CrashState(
         crash_time=env.now,
-        namespace=cluster.namespace,
-        space=cluster.space,
+        shards=tuple(
+            (server.namespace, server.space) for server in cluster.metadata
+        ),
         stable=cluster.array.stable,
         lost_commit_records=lost_records,
         lost_block_requests=lost_requests,
@@ -97,11 +89,4 @@ def crash_cluster(
             if witnesses is not None
             else ()
         ),
-        shards=tuple(
-            (server.namespace, server.space) for server in metadata
-        )
-        # Hand-assembled test clusters have no metadata service; the
-        # CrashState default covers them with the single (ns, space).
-        if (metadata := getattr(cluster, "metadata", None)) is not None
-        else (),
     )

@@ -193,8 +193,9 @@ class FaultInjector:
         rng_root = cluster.root_rng
         self._links: _t.List["Link"] = []
         self._per_client: _t.Dict[int, _t.List[LinkFaults]] = {}
-        for cid, uplink in enumerate(cluster.uplinks):
-            downlink = cluster.mds.downlinks[cid]
+        for cid, (uplink, downlink) in enumerate(
+            zip(cluster.uplinks, cluster.downlinks)
+        ):
             models = []
             for link in (uplink, downlink):
                 model = LinkFaults(

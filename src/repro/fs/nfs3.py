@@ -91,7 +91,6 @@ class Nfs3Server:
         env: Environment,
         disk: DiskParameters,
         port: RpcServerPort,
-        downlink: Link,
         rng,
         num_daemons: int = 8,
         svc_message: float = 60e-6,
@@ -105,7 +104,6 @@ class Nfs3Server:
         #: forcing stable writes under pressure).
         self.dirty_limit = dirty_limit
         self.port = port
-        self.downlink = downlink
         self.svc_message = svc_message
         self.array = DiskArray(env, disk, rng)
         self.blockdev = BlockDevice(env, 0, self.array)
@@ -171,7 +169,7 @@ class Nfs3Server:
                 raise TypeError(f"unknown NFS payload {payload!r}")
 
             self.requests_processed += 1
-            self.port.reply(message, result, self.downlink)
+            self.port.reply(message, result)
 
     def _create(self, name: str) -> int:
         if name in self._by_name:
@@ -372,7 +370,6 @@ class Nfs3Cluster(BaseCluster):
             env,
             config.disk,
             self.port,
-            self.server_downlink,
             self.root_rng.stream("nfs-disk"),
             num_daemons=config.mds.num_daemons,
         )

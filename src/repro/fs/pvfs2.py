@@ -124,7 +124,7 @@ class Pvfs2DataServer:
             else:
                 raise TypeError(f"unexpected payload {payload!r}")
             self.requests_processed += 1
-            self.port.reply(message, result, self.downlink)
+            self.port.reply(message, result)
 
     def _write(self, p: PvfsIo) -> _t.Generator:
         end = self._partition_start + self._partition_size
@@ -225,7 +225,7 @@ class Pvfs2MetaServer:
                 result = True
             else:
                 raise TypeError(f"unexpected payload {payload!r}")
-            self.port.reply(message, result, self.downlink)
+            self.port.reply(message, result)
 
 
 class Pvfs2Client(FileSystemAPI):

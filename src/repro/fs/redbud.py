@@ -34,7 +34,6 @@ from repro.core.delegation import DoubleSpacePool
 from repro.core.effects import Effects
 from repro.fs.base import BaseCluster, RunResult
 from repro.fs.config import ClusterConfig
-from repro.mds.allocation import SpaceManager
 from repro.mds.namespace import Namespace
 from repro.mds.server import MetadataServer
 from repro.mds.sharding import (
@@ -153,16 +152,15 @@ class RedbudCluster(BaseCluster):
             )
         self.ports = [RpcServerPort(env) for _ in range(num_shards)]
 
-        downlinks: _t.Dict[int, Link] = {}
-        self.downlinks = downlinks
         self.clients: _t.List[RedbudClient] = []
         self.uplinks: _t.List[Link] = []
+        self.downlinks: _t.List[Link] = []
         link = dataclasses.asdict(config.link)
         for cid in range(config.client_nodes):
             uplink = Link(env, name=f"eth-up-{cid}", **link)
             downlink = Link(env, name=f"eth-down-{cid}", **link)
             self.uplinks.append(uplink)
-            downlinks[cid] = downlink
+            self.downlinks.append(downlink)
             transport = ShardRoutingTransport(
                 env, uplink, downlink, self.ports, self.router
             )
@@ -176,12 +174,9 @@ class RedbudCluster(BaseCluster):
 
         self.metadata = ShardedMetadataService(
             [
-                MetadataServer(
-                    env, config.mds, namespace, space, port, downlinks
-                )
+                MetadataServer(env, config.mds, namespace, space, port)
                 for (namespace, space), port in zip(states, self.ports)
-            ],
-            self.router,
+            ]
         )
         for k, server in enumerate(self.metadata.servers):
             if server.gc is not None:
@@ -205,28 +200,13 @@ class RedbudCluster(BaseCluster):
 
             register_redbud_gauges(obs, self)
 
-    # -- single-MDS compatibility surface -----------------------------------
-    # ``shards=1`` callers (and everything written against the paper's
-    # topology) address "the" MDS, namespace, allocator, and port; those
-    # are shard 0's.
-
-    @property
-    def mds(self) -> MetadataServer:
-        return self.metadata.shard(0)
-
     @property
     def namespace(self) -> Namespace:
+        """Shard 0's namespace, kept while ``perf/simcell.py`` reads it;
+        everything else addresses ``metadata.shard(k).namespace``."""
         return self.metadata.shard(0).namespace
 
-    @property
-    def space(self) -> SpaceManager:
-        return self.metadata.shard(0).space
-
-    @property
-    def port(self) -> RpcServerPort:
-        return self.ports[0]
-
-    def _readmit_client(self, client_id: int, shard: int = 0) -> None:
+    def _readmit_client(self, client_id: int, shard: int) -> None:
         if 0 <= client_id < len(self.clients):
             self.clients[client_id].blockdev.write_generations[shard] = (
                 self.array.fence_generations.get((client_id, shard), 0)

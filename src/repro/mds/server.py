@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from repro.mds.allocation import SpaceManager
 from repro.mds.extent import Chunk, Extent
 from repro.mds.namespace import FileExistsMdsError, Namespace
-from repro.net.link import Link
 from repro.net.messages import (
     CommitOp,
     CommitPayload,
@@ -103,14 +102,12 @@ class MetadataServer:
         namespace: Namespace,
         space: SpaceManager,
         port: RpcServerPort,
-        downlinks: _t.Dict[int, Link],
     ) -> None:
         self.env = env
         self.params = params
         self.namespace = namespace
         self.space = space
         self.port = port
-        self.downlinks = downlinks
         #: Observability bundle (``repro.obs.Instrumentation``) or None.
         self.obs = env.obs
         # A service group holds at most as many requests as fill one
@@ -314,10 +311,7 @@ class MetadataServer:
                     self.obs.tracer.end(span)
             for message in group:
                 self.service_hist.observe(elapsed)
-                # Socket-backed deployments register transports with the
-                # port and carry no modelled downlinks at all.
-                downlink = self.downlinks.get(message.client_id)
-                self.port.reply(message, message.result, downlink)
+                self.port.reply(message, message.result)
 
     def _contention_scale(self) -> float:
         extra_active = max(0, self._active - 1)

@@ -18,9 +18,9 @@ is *provably* disjoint -- :func:`check_shard_disjointness` is the
 oracle's new invariant.
 
 Routing is deterministic and client-side: creates route by a stable
-hash of the file name (pluggable policy), every other operation by the
-file id's owner shard.  Retransmitted RPCs reuse the same message and
-therefore the same shard, preserving server-side dedup.
+hash of the file name, every other operation by the file id's owner
+shard.  Retransmitted RPCs reuse the same message and therefore the
+same shard, preserving server-side dedup.
 """
 
 from __future__ import annotations
@@ -75,57 +75,24 @@ def fnv1a_64(data: bytes) -> int:
     return acc
 
 
-def _hash_name_policy(name: str, num_shards: int) -> int:
-    return fnv1a_64(name.encode("utf-8")) % num_shards
-
-
-#: Named placement policies for :class:`ShardRouter`.
-PLACEMENT_POLICIES: _t.Dict[str, _t.Callable[[str, int], int]] = {
-    "hash-name": _hash_name_policy,
-}
-
-
 class ShardRouter:
     """Deterministic file-handle -> shard mapping.
 
-    ``policy`` is either a name from :data:`PLACEMENT_POLICIES` or a
-    callable ``(name, num_shards) -> shard``.  The file-id progression
-    (see module docstring) makes :meth:`shard_of_file` pure arithmetic.
+    A create goes to ``fnv1a_64(name) % num_shards``; the file-id
+    progression (see module docstring) makes :meth:`shard_of_file` pure
+    arithmetic.
     """
 
-    def __init__(
-        self,
-        num_shards: int,
-        policy: _t.Union[
-            str, _t.Callable[[str, int], int]
-        ] = "hash-name",
-    ) -> None:
+    def __init__(self, num_shards: int) -> None:
         if num_shards < 1:
             raise ValueError(
                 f"num_shards must be >= 1, got {num_shards}"
             )
         self.num_shards = num_shards
-        if callable(policy):
-            self.policy_name = getattr(policy, "__name__", "custom")
-            self._policy = policy
-        else:
-            if policy not in PLACEMENT_POLICIES:
-                raise ValueError(
-                    f"unknown placement policy {policy!r}; choose from "
-                    f"{sorted(PLACEMENT_POLICIES)}"
-                )
-            self.policy_name = policy
-            self._policy = PLACEMENT_POLICIES[policy]
 
     def shard_for_name(self, name: str) -> int:
         """Placement decision for a new file handle."""
-        shard = self._policy(name, self.num_shards)
-        if not 0 <= shard < self.num_shards:
-            raise ValueError(
-                f"policy {self.policy_name!r} routed {name!r} to "
-                f"shard {shard} of {self.num_shards}"
-            )
-        return shard
+        return fnv1a_64(name.encode("utf-8")) % self.num_shards
 
     def shard_of_file(self, file_id: int) -> int:
         """Owner shard of an existing file id."""
@@ -204,8 +171,10 @@ class ShardRoutingTransport(RpcTransport):
             raise ValueError(
                 f"{len(ports)} ports for {router.num_shards} shards"
             )
-        # "The" port of the single-MDS surface is shard 0's.
-        super().__init__(env, uplink, downlink, ports[0])
+        # No single ``port``: the methods that would read it are overridden.
+        self.env = env
+        self.uplink = uplink
+        self.downlink = downlink
         self.ports = list(ports)
         self.router = router
 
@@ -231,15 +200,8 @@ class ShardedMetadataService:
     reachable through :meth:`shard` / iteration.
     """
 
-    def __init__(
-        self, servers: _t.Sequence[MetadataServer], router: ShardRouter
-    ) -> None:
-        if len(servers) != router.num_shards:
-            raise ValueError(
-                f"{len(servers)} servers for {router.num_shards} shards"
-            )
+    def __init__(self, servers: _t.Sequence[MetadataServer]) -> None:
         self.servers = list(servers)
-        self.router = router
 
     @property
     def num_shards(self) -> int:
@@ -250,9 +212,6 @@ class ShardedMetadataService:
 
     def __iter__(self) -> _t.Iterator[MetadataServer]:
         return iter(self.servers)
-
-    def __len__(self) -> int:
-        return len(self.servers)
 
     # -- fault surface ------------------------------------------------------
 
@@ -293,20 +252,12 @@ class ShardedMetadataService:
         return self._sum("restarts")
 
     @property
-    def requests_lost_in_crashes(self) -> int:
-        return self._sum("requests_lost_in_crashes")
-
-    @property
     def duplicate_commits_suppressed(self) -> int:
         return self._sum("duplicate_commits_suppressed")
 
     @property
     def duplicate_requests_suppressed(self) -> int:
         return self._sum("duplicate_requests_suppressed")
-
-    @property
-    def stale_commits(self) -> int:
-        return self._sum("stale_commits")
 
     @property
     def queue_length(self) -> int:

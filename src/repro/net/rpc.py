@@ -206,18 +206,12 @@ class RpcServerPort:
         """Restart: accept requests again."""
         self.down = False
 
-    def reply(
-        self,
-        message: RpcMessage,
-        result: _t.Any,
-        downlink: _t.Optional[Link] = None,
-    ) -> None:
+    def reply(self, message: RpcMessage, result: _t.Any) -> None:
         """Send the reply for ``message`` back to its sender.
 
-        Routes through the client's registered transport so downlink
-        faults (loss/delay) apply to replies too.  ``downlink`` is the
-        legacy direct path, kept for hand-assembled test servers that
-        never register a transport.
+        Routes through the client's registered transport (every
+        :class:`RpcClient` registers one as it is built), so downlink
+        faults (loss/delay) apply to replies too.
         """
         message.result = result
         if self.partition_windows and self.partitioned():
@@ -227,19 +221,7 @@ class RpcServerPort:
             self.partition_drops += 1
             return
         self.replies_sent += 1
-        transport = self.transports.get(message.client_id)
-        if transport is not None:
-            transport.send_reply(message)
-            return
-        if downlink is None:
-            raise ValueError(
-                f"no transport registered for client {message.client_id} "
-                "and no fallback downlink given"
-            )
-        delivery = downlink.send(message.reply_size())
-        delivery.callbacks.append(
-            lambda _ev, msg=message: _deliver_reply(msg)
-        )
+        self.transports[message.client_id].send_reply(message)
 
 
 def _deliver_reply(message: RpcMessage) -> None:

@@ -86,6 +86,8 @@ def register_redbud_gauges(obs: Instrumentation, cluster: _t.Any) -> None:
     component-private dicts.  Metric names are documented in README.md
     ("Observability").
     """
+    from repro.analysis.mergeratio import write_merge_ratio
+
     reg = obs.registry
     clients = cluster.clients
 
@@ -132,7 +134,7 @@ def register_redbud_gauges(obs: Instrumentation, cluster: _t.Any) -> None:
     )
     reg.gauge(
         "elevator.merge_ratio",
-        lambda: _aggregate_merge_ratio(clients),
+        lambda: write_merge_ratio(c.blockdev.scheduler for c in clients),
     )
     reg.gauge(
         "delegation.local_allocs",
@@ -187,16 +189,6 @@ def register_redbud_gauges(obs: Instrumentation, cluster: _t.Any) -> None:
 def _mean(values: _t.Iterable[float]) -> float:
     items = list(values)
     return sum(items) / len(items) if items else 0.0
-
-
-def _aggregate_merge_ratio(clients: _t.Sequence[_t.Any]) -> float:
-    dispatched = sum(
-        c.blockdev.scheduler.stats.dispatched for c in clients
-    )
-    submissions = sum(
-        c.blockdev.scheduler.stats.dispatched_submissions for c in clients
-    )
-    return submissions / dispatched if dispatched else 1.0
 
 
 def _lease_hit_rate(clients: _t.Sequence[_t.Any]) -> float:

@@ -191,9 +191,7 @@ async def serve_shard(
         lease_duration=config.lease_duration,
         shards=config.shards,
     )
-    server = MetadataServer(
-        env, params, namespace, space, RpcServerPort(env), downlinks={}
-    )
+    server = MetadataServer(env, params, namespace, space, RpcServerPort(env))
     stop = asyncio.Event()
     request_counter = [0]
     dropped = [0]

@@ -107,20 +107,24 @@ async def run_smoke(config: SmokeConfig) -> _t.Dict[str, _t.Any]:
     shards down, judge the dumps.
 
     The shards are shut down, and so write their dumps, on every exit
-    path: a run that times out or whose client fails still ends ``repro
-    serve`` before its error propagates.
+    path: a run that cannot reach a shard, times out or whose client
+    fails still ends ``repro serve`` before its error propagates.
     """
     env = AsyncioEffects(asyncio.get_running_loop())
     router = ShardRouter(num_shards=config.shards)
-    blockdev = RtBlockDevice(env, config.volume_path, config.volume_size)
-    transport = await RtClusterTransport.connect(env, config.addresses, router)
     node = ClusterConfig.delayed_commit(
         num_clients=config.clients,
         fixed_compound_degree=config.compound_degree,
         retry=RetryPolicy(base_timeout=0.5, max_timeout=2.0, max_attempts=30),
     )
     rng = StreamRNG(config.seed)
+    blockdev: _t.Optional[RtBlockDevice] = None
+    transport: _t.Optional[RtClusterTransport] = None
     try:
+        blockdev = RtBlockDevice(env, config.volume_path, config.volume_size)
+        transport = await RtClusterTransport.connect(
+            env, config.addresses, router
+        )
         clients = [
             build_client(env, node, client_id, transport, blockdev, router, rng)
             for client_id in range(1, config.clients + 1)
@@ -143,8 +147,10 @@ async def run_smoke(config: SmokeConfig) -> _t.Dict[str, _t.Any]:
         ]
     finally:
         replies = [await _shut_down(*address) for address in config.addresses]
-        await transport.aclose()
-        blockdev.close()
+        if transport is not None:
+            await transport.aclose()
+        if blockdev is not None:
+            blockdev.close()
     for reply in replies:
         if not reply.get("ok"):
             raise RuntimeError(f"shard shutdown failed: {reply!r}")

@@ -62,7 +62,6 @@ class RtClusterTransport:
         self.env = env
         self.router = router
         self.uplink = _NullUplink()
-        self.downlink = _NullUplink()
         self._writers: _t.List[FrameWriter] = []
         self._readers: _t.List["asyncio.Task[None]"] = []
         self._inflight: _t.Dict[_t.Tuple[int, int], RpcMessage] = {}
@@ -77,18 +76,24 @@ class RtClusterTransport:
         cls,
         env: "AsyncioEffects",
         addresses: _t.Sequence[_t.Tuple[str, int]],
-        router: _t.Optional[ShardRouter] = None,
+        router: ShardRouter,
     ) -> "RtClusterTransport":
-        """Open one connection per shard and start the reply readers."""
-        if router is None:
-            router = ShardRouter(num_shards=len(addresses))
+        """Open one connection per shard and start the reply readers.
+
+        A shard that refuses closes the connections already opened
+        before the error propagates.
+        """
         if len(addresses) != router.num_shards:
             raise ValueError(
                 f"{len(addresses)} addresses for {router.num_shards} shards"
             )
         transport = cls(env, router)
-        for host, port in addresses:
-            transport._attach(*await asyncio.open_connection(host, port))
+        try:
+            for host, port in addresses:
+                transport._attach(*await asyncio.open_connection(host, port))
+        except BaseException:
+            await transport.aclose()
+            raise
         return transport
 
     def _attach(

@@ -52,15 +52,6 @@ class BlockDevice:
         )
         array.attach(self.scheduler)
 
-    @property
-    def write_generation(self) -> int:
-        """Shard-0 fencing token (the whole story when unsharded)."""
-        return self.write_generations.get(0, 0)
-
-    @write_generation.setter
-    def write_generation(self, value: int) -> None:
-        self.write_generations[0] = value
-
     def submit_write(
         self,
         start: int,

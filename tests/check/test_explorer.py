@@ -21,7 +21,7 @@ def test_fault_free_run_passes():
     # The workload actually drove the system: data became durable and
     # every invariant checker had something to chew on.
     assert out.cluster.array.stable.total() > 0
-    assert out.cluster.mds.oplog
+    assert out.cluster.metadata.shard(0).oplog
 
 
 def test_crash_point_run_recovers_clean():
@@ -56,7 +56,7 @@ def test_partition_fences_then_readmits_client():
     assert fences and fences[0].time < 0.35  # fenced during the run
     assert cluster.array.fence_generations[(0, 0)] >= 1
     assert (
-        cluster.clients[0].blockdev.write_generation
+        cluster.clients[0].blockdev.write_generations[0]
         == cluster.array.fence_generations[(0, 0)]
     )
 

@@ -7,6 +7,7 @@ from repro.core.delegation import DoubleSpacePool
 from repro.mds.allocation import SpaceManager
 from repro.mds.namespace import Namespace
 from repro.mds.server import MdsParameters, MetadataServer
+from repro.mds.sharding import ShardedMetadataService
 from repro.net.link import Link
 from repro.net.rpc import RpcClient, RpcServerPort, RpcTransport
 from repro.sim import Environment
@@ -17,7 +18,12 @@ from repro.storage.disk import DiskArray, DiskParameters
 
 
 class MiniCluster:
-    """A hand-assembled small cluster for unit/integration tests."""
+    """A hand-assembled small cluster for unit/integration tests.
+
+    One MDS; ``metadata`` wraps it as the one-shard service
+    :class:`~repro.fs.redbud.RedbudCluster` builds, so ``crash_cluster``
+    takes this cluster too.
+    """
 
     def __init__(
         self,
@@ -47,25 +53,23 @@ class MiniCluster:
         self.port = RpcServerPort(env)
         self.namespace = Namespace()
         self.space = SpaceManager(volume_size=volume_size, num_groups=4)
-        downlinks = {}
+        self.witnesses = None
         self.clients = []
         for cid in range(num_clients):
             up = Link(env, name=f"up-{cid}")
             down = Link(env, name=f"down-{cid}")
-            downlinks[cid] = down
             rpc = RpcClient(env, cid, RpcTransport(env, up, down, self.port))
-            delegation = (
-                DoubleSpacePool(chunk_size=delegation_chunk)
-                if delegation_chunk
-                else None
-            )
             client = RedbudClient(
                 env,
                 cid,
                 rpc,
                 BlockDevice(env, cid, self.array),
                 commit_mode=commit_mode,
-                delegation=delegation,
+                delegation_pools=(
+                    {0: DoubleSpacePool(chunk_size=delegation_chunk)}
+                    if delegation_chunk
+                    else None
+                ),
                 **client_kw,
             )
             self.clients.append(client)
@@ -75,8 +79,8 @@ class MiniCluster:
             self.namespace,
             self.space,
             self.port,
-            downlinks,
         )
+        self.metadata = ShardedMetadataService([self.mds])
 
     @property
     def client(self):

@@ -43,9 +43,8 @@ def test_delayed_commit_invariant_under_random_crashes(
 ):
     cluster = launch("delayed", seed, delegation)
     state = crash_cluster(cluster, at_time=cluster.env.now + crash_after)
-    report = check_ordered_writes(
-        state.namespace, state.stable, state.space
-    )
+    ((namespace, space),) = state.shards
+    report = check_ordered_writes(namespace, state.stable, space)
     assert report.consistent, report.summary()
     recovery = recover(state)
     assert recovery.recovered_consistent, [
@@ -64,7 +63,6 @@ def test_synchronous_commit_invariant_under_random_crashes(
 ):
     cluster = launch("synchronous", seed, False)
     state = crash_cluster(cluster, at_time=cluster.env.now + crash_after)
-    report = check_ordered_writes(
-        state.namespace, state.stable, state.space
-    )
+    ((namespace, space),) = state.shards
+    report = check_ordered_writes(namespace, state.stable, space)
     assert report.consistent, report.summary()

@@ -38,9 +38,8 @@ def test_ordered_modes_survive_crash(mode, crash_after):
     cluster, state = run_and_crash(
         mode, crash_after, delegation=(mode == "delayed")
     )
-    report = check_ordered_writes(
-        state.namespace, state.stable, state.space
-    )
+    ((namespace, space),) = state.shards
+    report = check_ordered_writes(namespace, state.stable, space)
     assert report.consistent, report.summary()
     assert report.extents_checked > 0  # the check actually saw work
 
@@ -50,9 +49,8 @@ def test_unordered_mode_violates_invariant():
     violated = False
     for crash_after in [0.02, 0.05, 0.1, 0.2, 0.4]:
         cluster, state = run_and_crash("unordered", crash_after)
-        report = check_ordered_writes(
-            state.namespace, state.stable, state.space
-        )
+        ((namespace, space),) = state.shards
+        report = check_ordered_writes(namespace, state.stable, space)
         if not report.consistent:
             violated = True
             kinds = {v.kind for v in report.violations}
@@ -73,14 +71,15 @@ def test_crash_reports_lost_volatile_state():
 
 def test_recovery_reclaims_orphans_and_rebalances():
     cluster, state = run_and_crash("delayed", 0.3, delegation=True)
-    orphans_before = state.space.uncommitted_bytes()
+    ((_, space),) = state.shards
+    orphans_before = space.uncommitted_bytes()
     report = recover(state)
     assert report.pre_check.consistent
     assert report.orphan_bytes_reclaimed == orphans_before
     assert report.recovered_consistent, [
         v.detail for v in report.post_check.violations
     ]
-    assert state.space.uncommitted_bytes() == 0
+    assert space.uncommitted_bytes() == 0
 
 
 def test_recovery_after_sync_crash_is_clean():

@@ -102,9 +102,10 @@ def test_rebuild_after_real_crash():
 
     env.process(app())
     state = crash_cluster(cluster, at_time=0.05)
-    rebuilt = rebuild_free_space(state.namespace, state.space)
-    report = fsck(state.namespace, rebuilt)
+    ((namespace, space),) = state.shards
+    rebuilt = rebuild_free_space(namespace, space)
+    report = fsck(namespace, rebuilt)
     assert report.clean, report.summary()
     # The rebuild agrees with GC-based recovery on the free total.
     recover(state)
-    assert rebuilt.free_bytes == state.space.free_bytes
+    assert rebuilt.free_bytes == space.free_bytes

@@ -61,8 +61,7 @@ def test_accounting_violation_detected():
     stable = IntervalSet([(off, off + 4096)])
     state = CrashState(
         crash_time=1.0,
-        namespace=ns,
-        space=sm,
+        shards=((ns, sm),),
         stable=stable,
         lost_commit_records=0,
         lost_block_requests=0,

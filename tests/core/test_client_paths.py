@@ -20,7 +20,7 @@ def test_delegation_refill_on_pool_exhaustion(env):
             yield from fs.fsync(fid)
 
     c.run_ops(ops(c.client))
-    pool = c.client.delegation
+    pool = c.client.delegation_pools[0]
     assert pool.swaps >= 1
     assert pool.local_allocs == 6
     # Every file committed despite the pool churn.
@@ -39,7 +39,7 @@ def test_large_write_bypasses_delegation(env):
         return fid
 
     (fid,) = c.run_ops(ops(c.client))
-    assert c.client.delegation.local_allocs == 0  # went to the MDS
+    assert c.client.delegation_pools[0].local_allocs == 0  # went to the MDS
     assert c.namespace.get(fid).committed_bytes() == 1024 * 1024
 
 
@@ -128,7 +128,7 @@ def test_scattered_write_skips_delegation(env):
         return fid
 
     (fid,) = c.run_ops(ops(c.client))
-    assert c.client.delegation.local_allocs == 0
+    assert c.client.delegation_pools[0].local_allocs == 0
     meta = c.namespace.get(fid)
     assert meta.committed_bytes() == 32 * 1024
 

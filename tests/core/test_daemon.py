@@ -35,7 +35,7 @@ def make_ctx(env, degree=4, server_delay=0.001, on_committed=None):
         while True:
             (msg,) = yield port.next_group()
             yield env.timeout(server_delay)
-            port.reply(msg, [True] * msg.op_count(), down)
+            port.reply(msg, [True] * msg.op_count())
 
     env.process(server(env))
     queue = CommitQueue(env)

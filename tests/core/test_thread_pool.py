@@ -30,7 +30,7 @@ def make_pool(env, max_threads=9, max_queue_len=90, control_period=0.1,
             (msg,) = yield port.next_group()
             yield env.timeout(server_delay)
             results = [True] * msg.op_count()
-            port.reply(msg, results, down)
+            port.reply(msg, results)
 
     env.process(server(env))
     queue = CommitQueue(env)

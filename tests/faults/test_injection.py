@@ -61,11 +61,12 @@ def run_faulted(seed, spec, duration=1.0, obs=None):
 
 
 def assert_recovered_consistent(cluster):
-    mds = cluster.mds
+    mds = cluster.metadata.shard(0)
     applies = list(mds.commit_apply_counts.values())
     assert applies and max(applies) <= 1, "a commit op was applied twice"
     state = crash_cluster(cluster)
-    report = check_ordered_writes(state.namespace, state.stable, state.space)
+    ((namespace, space),) = state.shards
+    report = check_ordered_writes(namespace, state.stable, space)
     assert report.consistent, report.summary()
     recovery = recover(state)
     assert recovery.recovered_consistent, [
@@ -153,7 +154,7 @@ def test_random_schedules_recover_consistently(seed):
     assert injector.stats.total_injected > 0
     dead = spec.client_deaths[0].client_id
     assert cluster.clients[dead].crashed
-    assert cluster.space.uncommitted_bytes(dead) == 0, (
+    assert cluster.metadata.shard(0).space.uncommitted_bytes(dead) == 0, (
         "lease GC failed to reclaim the dead client's orphan space"
     )
     assert_recovered_consistent(cluster)
@@ -170,7 +171,7 @@ def test_acceptance_schedule_with_hundreds_of_faults():
     cluster, injector = run_faulted(21, spec, duration=1.2)
 
     assert injector.stats.total_injected >= 100
-    mds = cluster.mds
+    mds = cluster.metadata.shard(0)
     assert mds.restarts == 1
     # Loss at this rate forces retransmissions, and some duplicates
     # reach the server -- and every one must be suppressed.
@@ -183,5 +184,5 @@ def test_acceptance_schedule_with_hundreds_of_faults():
     # been reclaimed by the lease collector.
     assert mds.gc is not None
     assert mds.gc.bytes_reclaimed_total > 0
-    assert cluster.space.uncommitted_bytes(2) == 0
+    assert mds.space.uncommitted_bytes(2) == 0
     assert_recovered_consistent(cluster)

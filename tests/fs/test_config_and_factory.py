@@ -52,7 +52,7 @@ def test_build_redbud_variants():
     delayed = build_cluster("redbud-delayed", num_clients=2)
     assert delayed.config.commit_mode == "delayed"
     assert delayed.config.space_delegation
-    assert delayed.clients[0].delegation is not None
+    assert list(delayed.clients[0].delegation_pools) == [0]
 
 
 def test_build_baselines():

@@ -52,12 +52,11 @@ def test_cluster_state_consistent_after_clean_run():
     )
     cluster.run_workload(workload, duration=1.0, warmup=0.1)
     cluster.settle(3.0)  # let background commits land
-    report = check_ordered_writes(
-        cluster.namespace, cluster.array.stable, cluster.space
-    )
+    mds = cluster.metadata.shard(0)
+    report = check_ordered_writes(mds.namespace, cluster.array.stable, mds.space)
     assert report.consistent, report.summary()
-    cluster.space.check_invariants()
-    cluster.namespace.check_invariants()
+    mds.space.check_invariants()
+    mds.namespace.check_invariants()
 
 
 def test_extras_are_populated_for_redbud():

@@ -63,7 +63,6 @@ def _server(env):
         Namespace(),
         SpaceManager(volume_size=1 << 20),
         RpcServerPort(env),
-        downlinks={},
     )
 
 

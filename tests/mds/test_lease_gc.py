@@ -108,15 +108,16 @@ def test_integrated_with_mds_single_client_crash():
     )
     cluster.run_workload(wl, duration=1.0, warmup=0.1)
     victim = cluster.clients[0]
-    had_uncommitted = cluster.space.uncommitted_bytes(0)
+    mds = cluster.metadata.shard(0)
+    had_uncommitted = mds.space.uncommitted_bytes(0)
     assert had_uncommitted > 0  # it holds a delegated chunk remainder
     victim.crash()
     # Keep the others (and their MDS traffic) going past the lease.
     cluster.env.run(until=cluster.env.now + 3.0)
-    assert cluster.space.uncommitted_bytes(0) == 0
-    assert cluster.mds.gc is not None
-    assert any(e.client_id == 0 for e in cluster.mds.gc.events)
-    cluster.space.check_invariants()
+    assert mds.space.uncommitted_bytes(0) == 0
+    assert mds.gc is not None
+    assert any(e.client_id == 0 for e in mds.gc.events)
+    mds.space.check_invariants()
 
 
 def test_paused_collector_reclaims_nothing():

@@ -22,11 +22,8 @@ from repro.sim import Environment
 
 def make_mds(env, num_daemons=2, num_clients=2, **param_kw):
     port = RpcServerPort(env)
-    downlinks = {cid: Link(env) for cid in range(num_clients)}
     clients = {
-        cid: RpcClient(
-            env, cid, RpcTransport(env, Link(env), downlinks[cid], port)
-        )
+        cid: RpcClient(env, cid, RpcTransport(env, Link(env), Link(env), port))
         for cid in range(num_clients)
     }
     params = MdsParameters(num_daemons=num_daemons, **param_kw)
@@ -36,7 +33,6 @@ def make_mds(env, num_daemons=2, num_clients=2, **param_kw):
         Namespace(),
         SpaceManager(volume_size=1 << 30, num_groups=4),
         port,
-        downlinks,
     )
     return mds, clients
 

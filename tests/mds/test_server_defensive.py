@@ -27,12 +27,11 @@ class Stack:
     def __init__(self, num_clients=2):
         self.env = Environment()
         self.port = RpcServerPort(self.env)
-        downlinks = {c: Link(self.env) for c in range(num_clients)}
         self.clients = {
             c: RpcClient(
                 self.env,
                 c,
-                RpcTransport(self.env, Link(self.env), downlinks[c], self.port),
+                RpcTransport(self.env, Link(self.env), Link(self.env), self.port),
             )
             for c in range(num_clients)
         }
@@ -45,7 +44,6 @@ class Stack:
             Namespace(),
             self.space,
             self.port,
-            downlinks,
         )
 
     def call(self, client, kind, payload):

@@ -18,7 +18,6 @@ from repro.mds.extent import Extent
 from repro.mds.namespace import Namespace
 from repro.mds.server import MdsParameters, MetadataServer
 from repro.mds.sharding import (
-    PLACEMENT_POLICIES,
     ShardRouter,
     ShardedMetadataService,
     check_shard_disjointness,
@@ -98,18 +97,6 @@ def test_routing_is_balanced_within_2x_of_ideal(shards):
 def test_router_rejects_bad_configs():
     with pytest.raises(ValueError):
         ShardRouter(0)
-    with pytest.raises(ValueError):
-        ShardRouter(2, policy="no-such-policy")
-    # A custom policy that routes out of range is caught at call time.
-    rogue = ShardRouter(2, policy=lambda name, n: n + 5)
-    with pytest.raises(ValueError):
-        rogue.shard_for_name("x")
-
-
-def test_named_policies_registry_is_usable():
-    assert "hash-name" in PLACEMENT_POLICIES
-    router = ShardRouter(4, policy="hash-name")
-    assert router.policy_name == "hash-name"
 
 
 # -- sharded service aggregates ----------------------------------------------
@@ -137,16 +124,14 @@ def _make_service(shards=2, volume=1 << 20):
                 namespace,
                 space,
                 RpcServerPort(env),
-                downlinks={},
             )
         )
-    return ShardedMetadataService(servers, ShardRouter(shards))
+    return ShardedMetadataService(servers)
 
 
 def test_service_aggregates_and_shard_access():
     svc = _make_service(shards=3)
     assert svc.num_shards == 3
-    assert len(svc) == 3
     assert [svc.shard(i) for i in range(3)] == list(svc)
     assert svc.requests_processed == 0
     assert svc.queue_length == 0

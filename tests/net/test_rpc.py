@@ -33,19 +33,19 @@ def make_stack(env):
     port = RpcServerPort(env)
     transport = RpcTransport(env, up, down, port)
     client = RpcClient(env, client_id=0, transport=transport)
-    return client, port, down
+    return client, port
 
 
-def echo_server(env, port, down):
+def echo_server(env, port):
     """A trivial server replying 'ack' to everything instantly."""
     while True:
         (msg,) = yield port.next_group()
-        port.reply(msg, ("ack", msg.kind), down)
+        port.reply(msg, ("ack", msg.kind))
 
 
 def test_round_trip(env):
-    client, port, down = make_stack(env)
-    env.process(echo_server(env, port, down))
+    client, port = make_stack(env)
+    env.process(echo_server(env, port))
     results = []
 
     def caller(env):
@@ -61,7 +61,7 @@ def test_round_trip(env):
 
 
 def test_inbox_queues_when_no_daemon(env):
-    client, port, _ = make_stack(env)
+    client, port = make_stack(env)
 
     def caller(env):
         client.call("create", CreatePayload(name="f1"))
@@ -137,8 +137,8 @@ def test_compound_cheaper_than_singles(env):
 
 
 def test_client_op_accounting(env):
-    client, port, down = make_stack(env)
-    env.process(echo_server(env, port, down))
+    client, port = make_stack(env)
+    env.process(echo_server(env, port))
 
     def caller(env):
         yield client.call(
@@ -166,7 +166,7 @@ def test_multiple_clients_share_inbox(env):
         while True:
             (msg,) = yield port.next_group()
             served.append(msg.client_id)
-            port.reply(msg, None, down)
+            port.reply(msg, None)
 
     def caller(env, client):
         yield client.call("create", CreatePayload(name=f"f{client.client_id}"))
@@ -214,8 +214,8 @@ def test_retry_policy_backoff_and_cap():
 
 
 def test_reply_routes_through_registered_transport(env):
-    # RpcClient registers its transport at construction; the server can
-    # reply without naming a downlink.
+    # RpcClient registers its transport at construction, so the server's
+    # reply finds it.
     client, port, _, _ = make_retry_stack(env, retry=None)
 
     def server(env):
@@ -231,19 +231,6 @@ def test_reply_routes_through_registered_transport(env):
     env.process(caller(env))
     env.run(until=1.0)
     assert results == ["routed"]
-
-
-def test_reply_without_transport_or_downlink_raises(env):
-    port = RpcServerPort(env)
-    msg = RpcMessage(
-        kind="create",
-        payload=CreatePayload("f"),
-        client_id=99,
-        reply_event=Event(env),
-        send_time=0.0,
-    )
-    with pytest.raises(ValueError):
-        port.reply(msg, "nope")
 
 
 def test_retry_recovers_a_lost_request(env):

@@ -228,7 +228,6 @@ def test_shard_answers_one_tick_of_requests_in_one_write():
             Namespace(),
             SpaceManager(volume_size=1 << 20),
             RpcServerPort(env),
-            downlinks={},
         )
         writer = RecordingWriter()
         counters = WireCounters()
@@ -274,7 +273,6 @@ def test_shard_answers_one_read_of_requests_in_at_most_three_writes():
             Namespace(),
             SpaceManager(volume_size=1 << 20),
             RpcServerPort(env),
-            downlinks={},
         )
         writer = RecordingWriter()
         counters = WireCounters()

@@ -138,7 +138,7 @@ def test_smoke_clients_are_delayed_undelegated_and_numbered_from_one(
     assert [c.client_id for c in clients] == [1, 2, 3]
     for client in clients:
         assert client.commit_mode == "delayed"
-        assert client.delegation is None
+        assert client.delegation_pools == {}
         assert client.compound.fixed_degree == 4
         retry = client.rpc.retry
         assert (

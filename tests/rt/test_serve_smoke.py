@@ -20,7 +20,9 @@ import time
 import pytest
 
 from repro.consistency.panel import PANEL_KINDS
+from repro.rt.server import ShardConfig, serve_shard
 from repro.rt.smoke import SmokeConfig, run_oracles, run_smoke
+from repro.rt.transport import ctl_request
 
 VOLUME_SIZE = 8 * 1024 * 1024
 
@@ -173,6 +175,52 @@ def test_failed_smoke_still_shuts_the_cluster_down(tmp_path):
         assert os.path.exists(
             os.path.join(data_dir, f"shard-{shard}.json")
         )
+
+
+def _closed_port():
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+def test_refused_connect_still_shuts_the_live_shards_down(tmp_path):
+    """Shard 1 refuses the smoke client's connection: shard 0, already
+    connected, is still shut down (and dumps), and the connection smoke
+    had opened to it leaves no reply reader behind."""
+    config = ShardConfig(
+        shard=0, shards=2, data_dir=str(tmp_path), volume_size=VOLUME_SIZE
+    )
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        ready = loop.create_future()
+        shard = asyncio.ensure_future(
+            serve_shard(config, ready=ready.set_result)
+        )
+        port = await ready
+        smoke = SmokeConfig(
+            addresses=[("127.0.0.1", port), ("127.0.0.1", _closed_port())],
+            data_dir=str(tmp_path),
+            shards=2,
+            volume_size=VOLUME_SIZE,
+        )
+        with pytest.raises(ConnectionRefusedError):
+            await run_smoke(smoke)
+        dumped = os.path.exists(config.dump_path)
+        readers = [
+            task
+            for task in asyncio.all_tasks()
+            if not task.done()
+            and task.get_coro().__name__ == "_read_replies"
+        ]
+        if not shard.done():  # stop a stranded shard so the test ends
+            await ctl_request("127.0.0.1", port, {"op": "shutdown"})
+        await asyncio.wait_for(shard, 10)
+        return dumped, readers
+
+    dumped, readers = asyncio.run(scenario())
+    assert dumped, "the connected shard was never shut down"
+    assert readers == []
 
 
 def _refuses_connections(address):

@@ -54,7 +54,6 @@ def _idle_server(env, params=DEFAULT):
         Namespace(),
         SpaceManager(volume_size=1 << 20),
         RpcServerPort(env),
-        downlinks={},
     )
     server.port.register(1, types.SimpleNamespace(send_reply=lambda m: None))
     groups = []

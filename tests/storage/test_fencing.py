@@ -65,7 +65,7 @@ def test_restamped_write_lands_after_readmission():
     array.fence(0)
     # Re-admission: the client re-establishes state and picks up the
     # current generation (RedbudCluster._readmit_client does this).
-    dev.write_generation = array.fence_generations[(0, 0)]
+    dev.write_generations[0] = array.fence_generations[(0, 0)]
 
     def proc(env):
         yield dev.submit_write(0, 4096, file_id=1, sync=True)
@@ -81,7 +81,7 @@ def test_elevator_never_merges_across_generations():
     array = make_array(env)
     dev = BlockDevice(env, 0, array)
     dev.submit_write(0, 4096, file_id=1)
-    dev.write_generation = 1  # readmitted mid-stream
+    dev.write_generations[0] = 1  # readmitted mid-stream
     dev.submit_write(4096, 4096, file_id=1)
     # Adjacent, same op, same file -- but different generations: the
     # elevator must not fold the stale write into the fresh one.

@@ -51,16 +51,17 @@ def test_barrier_synchronises_ranks():
 def test_epoch_sync_makes_data_durable():
     cluster, res = run_redbud(commit_mode="delayed")
     cluster.settle(2.0)
+    mds = cluster.metadata.shard(0)
     # All written bytes that were fsync'd are committed at the MDS.
     committed = sum(
-        meta.committed_bytes() for meta in cluster.namespace.all_files()
+        meta.committed_bytes() for meta in mds.namespace.all_files()
     )
     assert committed > 0
     # And consistent with stable data.
     from repro.consistency import check_ordered_writes
 
     report = check_ordered_writes(
-        cluster.namespace, cluster.array.stable, cluster.space
+        mds.namespace, cluster.array.stable, mds.space
     )
     assert report.consistent
 

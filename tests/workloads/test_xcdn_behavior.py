@@ -42,7 +42,7 @@ def test_namespace_grows_with_ingest():
                       threads_per_client=2)
     cluster, res = run(wl)
     seeded = 2 * 4
-    created_total = len(cluster.namespace) - seeded
+    created_total = len(cluster.metadata.shard(0).namespace) - seeded
     assert created_total > 0
     # Measured creates exclude warmup-time and cut-off in-flight ones.
     assert 0 < res.metrics.count("create") <= created_total
