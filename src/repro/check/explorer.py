@@ -28,12 +28,27 @@ import typing as _t
 from dataclasses import dataclass, field
 
 from repro.check.oracle import Verdict, judge_crash, judge_live
-from repro.check.schedule import compose, describe, schedule_events
+from repro.check.schedule import (
+    compose,
+    describe,
+    replay_command,
+    schedule_events,
+)
 from repro.check.shrinker import ddmin
 from repro.check.transitions import TransitionCoverage, transition_times
 from repro.check.workload import CheckWorkload
 from repro.consistency.crash import crash_cluster
-from repro.faults.spec import FaultSpec
+from repro.faults.spec import (
+    ClientDeath,
+    Clause,
+    Crash,
+    Delay,
+    FaultSpec,
+    Loss,
+    MdsRestart,
+    Partition,
+    ShardPartition,
+)
 from repro.fs.config import ClusterConfig
 from repro.fs.factory import build_cluster
 from repro.fs.redbud import RedbudCluster
@@ -82,12 +97,6 @@ class Counterexample:
     trace: _t.List[str] = field(default_factory=list)
 
     def as_dict(self) -> _t.Dict[str, _t.Any]:
-        shards_arg = f" --shards {self.shards}" if self.shards > 1 else ""
-        witness_arg = (
-            f" --witness-capacity {self.witness_capacity}"
-            if self.witness_capacity
-            else ""
-        )
         return {
             "schedule": self.schedule,
             "minimal": self.minimal,
@@ -96,10 +105,9 @@ class Counterexample:
             ),
             "kinds": list(self.kinds),
             "shrink_probes": self.shrink_probes,
-            "replay": (
-                f"python -m repro run --faults '{self.minimal}' --check "
-                f"--seed {self.seed} --clients {self.clients}"
-                f"{shards_arg}{witness_arg}"
+            "replay": replay_command(
+                self.minimal, seed=self.seed, clients=self.clients,
+                shards=self.shards, witness_capacity=self.witness_capacity,
             ),
             "trace": list(self.trace),
         }
@@ -247,67 +255,68 @@ def _nemesis_spec(
     clients: int,
     shards: int = 1,
 ) -> FaultSpec:
-    """Draw one random fault combination as canonical clause atoms.
+    """Draw one random fault combination as clause objects.
 
     At ``shards == 1`` the draw sequence is frozen (CI asserts reports
     are byte-identical across runs *and* releases); sharded clauses gate
     on ``shards > 1`` and only add draws inside that gate.
     """
-    clauses: _t.List[str] = []
+    clauses: _t.List[Clause] = []
     num_families = 8 + (1 if shards > 1 else 0)
     shard_family = 8 if shards > 1 else None
     family = rng.integers(0, num_families)
     t0 = round(rng.uniform(0.05, 0.30), 4)
 
-    def restart_clause(at: float, down: float) -> str:
+    def restart(at: float, down: float) -> MdsRestart:
         """mds_restart, aimed at one shard half the time when sharded."""
         if shards > 1 and rng.random() < 0.5:
-            sid = rng.integers(0, shards)
-            return f"mds_restart@{at!r}:{down!r}:shard={sid}"
-        return f"mds_restart@{at!r}:{down!r}"
+            return MdsRestart(at, down, rng.integers(0, shards))
+        return MdsRestart(at, down)
 
     if family == 0:
-        clauses.append(f"loss={round(rng.uniform(0.02, 0.25), 3)!r}")
+        clauses.append(Loss(round(rng.uniform(0.02, 0.25), 3)))
     elif family == 1:
         clauses.append(
-            f"delay={round(rng.uniform(0.05, 0.3), 3)!r}"
-            f":{round(rng.uniform(0.001, 0.02), 4)!r}"
+            Delay(
+                round(rng.uniform(0.05, 0.3), 3),
+                round(rng.uniform(0.001, 0.02), 4),
+            )
         )
     elif family == 2:
         cid = rng.integers(0, clients)
         t1 = round(t0 + rng.uniform(0.05, 0.20), 4)
-        clauses.append(f"partition={cid}@{t0!r}-{t1!r}")
+        clauses.append(Partition(cid, t0, t1))
     elif family == 3:
         down = round(rng.uniform(0.05, 0.20), 4)
-        clauses.append(restart_clause(t0, down))
+        clauses.append(restart(t0, down))
     elif family == 4:
         cid = rng.integers(0, clients)
-        clauses.append(f"client_death={cid}@{t0!r}")
+        clauses.append(ClientDeath(cid, t0))
     elif family == 5:
         # Reply loss around an MDS restart: the retransmit-after-
         # restart pattern that stresses exactly-once commit handling.
-        clauses.append(f"loss={round(rng.uniform(0.05, 0.3), 3)!r}")
+        clauses.append(Loss(round(rng.uniform(0.05, 0.3), 3)))
         down = round(rng.uniform(0.05, 0.20), 4)
-        clauses.append(restart_clause(t0, down))
+        clauses.append(restart(t0, down))
     elif family == 6:
         cid = rng.integers(0, clients)
         t1 = round(t0 + rng.uniform(0.13, 0.25), 4)
-        clauses.append(f"partition={cid}@{t0!r}-{t1!r}")
+        clauses.append(Partition(cid, t0, t1))
         down = round(rng.uniform(0.05, 0.15), 4)
-        clauses.append(restart_clause(round(t0 + 0.05, 4), down))
+        clauses.append(restart(round(t0 + 0.05, 4), down))
     elif family == 7:
-        clauses.append(f"loss={round(rng.uniform(0.02, 0.15), 3)!r}")
+        clauses.append(Loss(round(rng.uniform(0.02, 0.15), 3)))
         cid = rng.integers(0, clients)
-        clauses.append(f"client_death={cid}@{t0!r}")
+        clauses.append(ClientDeath(cid, t0))
     elif family == shard_family:
         # Sharded deployments only: cut one metadata shard off from
         # every client while the others keep serving.
         sid = rng.integers(0, shards)
         t1 = round(t0 + rng.uniform(0.08, 0.22), 4)
-        clauses.append(f"shard_partition={sid}@{t0!r}-{t1!r}")
+        clauses.append(ShardPartition(sid, t0, t1))
     if rng.random() < 0.35:
-        clauses.append(f"crash@{round(rng.uniform(0.10, 0.50), 4)!r}")
-    return compose(clauses)
+        clauses.append(Crash(round(rng.uniform(0.10, 0.50), 4)))
+    return FaultSpec.of(clauses)
 
 
 def _trace_excerpt(
@@ -449,12 +458,9 @@ def explore(
         def fails(subset: _t.List[str]) -> bool:
             return not runner(compose(subset)).verdict.ok
 
-        if len(clauses) <= 1:
-            minimal, probes = clauses, 0
-        else:
-            minimal, probes = ddmin(
-                clauses, fails, max_probes=shrink_probe_budget
-            )
+        minimal, probes = ddmin(
+            clauses, fails, max_probes=shrink_probe_budget
+        )
         report.shrink_probes += probes
         minimal_spec = compose(minimal)
         replay = runner(minimal_spec)

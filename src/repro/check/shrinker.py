@@ -26,9 +26,12 @@ def ddmin(
     ``fails`` must be deterministic (the checker replays each candidate
     with a fixed seed).  Returns ``(minimal_clauses, probes_used)``.
     Stops early -- returning the best reduction so far -- if the probe
-    budget runs out.
+    budget runs out.  One clause or none is already minimal: it comes
+    back as ``(clauses, 0)`` without a call to ``fails``.
     """
     items = list(clauses)
+    if len(items) <= 1:
+        return items, 0
     if not fails(items):
         raise ValueError("ddmin: initial schedule does not fail")
     memo: _t.Dict[_t.Tuple[str, ...], bool] = {tuple(items): True}

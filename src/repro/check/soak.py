@@ -44,7 +44,7 @@ from repro.check.explorer import (
     run_schedule,
 )
 from repro.check.oracle import Verdict, judge_live
-from repro.check.schedule import compose
+from repro.check.schedule import compose, replay_command, schedule_events
 from repro.check.shrinker import ddmin
 from repro.check.workload import CheckWorkload
 from repro.faults.nemesis import (
@@ -52,6 +52,7 @@ from repro.faults.nemesis import (
     NemesisAction,
     TrackedNemesis,
 )
+from repro.faults.spec import FaultSpec, MdsRestart, Partition
 from repro.faults.tracking import CLUSTER_WIDE, FaultTracker
 from repro.fs.factory import build_cluster
 from repro.fs.redbud import RedbudCluster
@@ -338,7 +339,7 @@ def run_soak(
     # state the oracles need without a trace.
     cluster = build_cluster(
         check_config(clients, mode, shards, witness_capacity),
-        seed=seed, faults=compose([a.clause for a in actions]),
+        seed=seed, faults=FaultSpec.of(a.fault for a in actions),
         seed_bug=seed_bug,
     )
     injector = cluster.injector
@@ -427,19 +428,15 @@ def run_soak(
         findings: _t.List[_t.Tuple[str, str]] = []
         if action.kind == "client_death":
             return  # Healed by the timeline; nothing converges back.
-        if action.kind == "partition":
-            targets = [int(action.scope[1])]
+        fault = action.fault
+        if isinstance(fault, Partition):
+            targets = [fault.client_id]
         else:
             targets = list(range(clients))
         for cid in targets:
             findings += probe_client_converged(cluster, cid)
-        if action.kind == "mds_restart":
-            shard_arg = (
-                int(action.scope[1])
-                if action.scope[0] == "shard"
-                else None
-            )
-            findings += probe_mds_converged(cluster, shard_arg)
+        if isinstance(fault, MdsRestart):
+            findings += probe_mds_converged(cluster, fault.shard)
         if action.kind in ("loss_burst", "delay_burst"):
             findings += probe_witness_converged(cluster)
         for kind, detail in findings:
@@ -528,52 +525,6 @@ def run_soak(
 
 # -- shrinking a failing window --------------------------------------------
 
-def _round6(value: float) -> float:
-    return round(value, 6)
-
-
-def _shift_clauses(
-    clauses: _t.List[str], delta: float
-) -> _t.List[str]:
-    """Rebase absolute clause times by ``-delta`` (scalars unchanged)."""
-    spec = compose(clauses)
-    out: _t.List[str] = []
-    if spec.loss > 0.0:
-        out.append(f"loss={spec.loss!r}")
-    if spec.delay_prob > 0.0:
-        out.append(f"delay={spec.delay_prob!r}:{spec.delay_max!r}")
-    for lb in spec.loss_bursts:
-        out.append(
-            f"loss={lb.prob!r}@{_round6(lb.start - delta)!r}"
-            f"-{_round6(lb.end - delta)!r}"
-        )
-    for db in spec.delay_bursts:
-        out.append(
-            f"delay={db.prob!r}:{db.max_delay!r}"
-            f"@{_round6(db.start - delta)!r}-{_round6(db.end - delta)!r}"
-        )
-    for p in spec.partitions:
-        out.append(
-            f"partition={p.client_id}@{_round6(p.start - delta)!r}"
-            f"-{_round6(p.end - delta)!r}"
-        )
-    for r in spec.mds_restarts:
-        clause = f"mds_restart@{_round6(r.at - delta)!r}:{r.downtime!r}"
-        if r.shard is not None:
-            clause += f":shard={r.shard}"
-        out.append(clause)
-    for sp in spec.shard_partitions:
-        out.append(
-            f"shard_partition={sp.shard}@{_round6(sp.start - delta)!r}"
-            f"-{_round6(sp.end - delta)!r}"
-        )
-    for death in spec.client_deaths:
-        out.append(
-            f"client_death={death.client_id}@{_round6(death.at - delta)!r}"
-        )
-    return out
-
-
 def _shrink(
     report: SoakReport,
     actions: _t.List[NemesisAction],
@@ -601,7 +552,8 @@ def _shrink(
         return None
     delta = min(a.start for a in window) - 0.35
     span = max(a.end for a in window) - delta + CONVERGENCE_GRACE
-    shifted = _shift_clauses([a.clause for a in window], delta)
+    shifted = FaultSpec.of(a.fault for a in window).shifted(delta)
+    clauses = schedule_events(shifted)
 
     def fails(subset: _t.List[str]) -> bool:
         outcome = run_schedule(
@@ -613,36 +565,27 @@ def _shrink(
             return True
         return not judge_converged(outcome.cluster).ok
 
-    if not fails(shifted):
+    if not fails(clauses):
         # The violation does not reproduce outside its long-run
         # context; report it unshrunk.
         return {
             "violation": first.as_dict(),
-            "schedule": ",".join(shifted),
+            "schedule": shifted.serialize(),
             "minimal": None,
             "shrink_probes": 1,
             "replay": None,
         }
-    if len(shifted) <= 1:
-        minimal, probes = shifted, 0
-    else:
-        minimal, probes = ddmin(shifted, fails, max_probes=max_probes)
-    minimal_spec = compose(minimal)
-    shards_arg = f" --shards {shards}" if shards > 1 else ""
-    witness_arg = (
-        f" --witness-capacity {witness_capacity}" if witness_capacity else ""
-    )
-    bug_arg = f" --seed-bug {seed_bug}" if seed_bug != "none" else ""
+    minimal, probes = ddmin(clauses, fails, max_probes=max_probes)
+    minimal_text = compose(minimal).serialize()
     return {
         "violation": first.as_dict(),
-        "schedule": ",".join(shifted),
-        "minimal": minimal_spec.serialize(),
+        "schedule": shifted.serialize(),
+        "minimal": minimal_text,
         "minimal_clauses": len(minimal),
         "shrink_probes": probes + 1,
-        "replay": (
-            f"python -m repro run --workload soak --faults "
-            f"'{minimal_spec.serialize()}' --check --seed {seed} "
-            f"--clients {clients} --duration {span:.1f}"
-            f"{shards_arg}{witness_arg}{bug_arg}"
+        "replay": replay_command(
+            minimal_text, seed=seed, clients=clients, shards=shards,
+            witness_capacity=witness_capacity, workload="soak",
+            duration=span, seed_bug=seed_bug,
         ),
     }

@@ -14,18 +14,26 @@ from dataclasses import dataclass, field
 
 from repro.faults.spec import (
     ClientDeath,
-    DelayBurst,
+    Crash,
+    Delay,
     FaultSpec,
-    LossBurst,
+    Loss,
     MdsRestart,
-    Partition,
-    ShardPartition,
 )
 from repro.faults.tracking import FaultTracker
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.fs.redbud import RedbudCluster
     from repro.net.link import Link
+
+
+#: The :class:`FaultStats` counter each windowed fault kind bumps when
+#: its window opens (client partitions count their drops instead).
+_WINDOW_COUNTERS = {
+    "loss_burst": "loss_bursts",
+    "delay_burst": "delay_bursts",
+    "shard_partition": "shard_partitions",
+}
 
 
 @dataclass
@@ -172,14 +180,8 @@ class FaultInjector:
         self.tracker = FaultTracker()
         env = cluster.env
 
-        needs_retry = (
-            spec.loss > 0.0
-            or spec.delay_prob > 0.0
-            or spec.partitions
-            or spec.mds_restarts
-            or spec.shard_partitions
-            or spec.loss_bursts
-            or spec.delay_bursts
+        needs_retry = any(
+            not isinstance(c, (ClientDeath, Crash)) for c in spec.clauses()
         )
         if needs_retry and any(
             client.rpc.retry is None for client in cluster.clients
@@ -219,29 +221,18 @@ class FaultInjector:
 
         # Scalar background loss/delay run until stop(); registered as
         # open-ended net-scoped faults so they excuse for the whole run.
-        if spec.loss > 0.0:
-            self._scalar_records = [
-                self.tracker.begin(
-                    "loss", ("net", "*"), env.now, permanent=True
-                )
-            ]
-        else:
-            self._scalar_records = []
-        if spec.delay_prob > 0.0:
-            self._scalar_records.append(
-                self.tracker.begin(
-                    "delay", ("net", "*"), env.now, permanent=True
-                )
-            )
+        self._scalar_records = [
+            self.tracker.begin(c.kind, c.scope, env.now, permanent=True)
+            for c in spec.clauses()
+            if isinstance(c, (Loss, Delay))
+        ]
         for burst in spec.loss_bursts:
             env.process(
-                self._burst_marker("loss_burst", burst.start, burst.end),
-                name=f"fault-loss-burst-{burst.start}",
+                self._window(burst), name=f"fault-loss-burst-{burst.start}"
             )
         for burst in spec.delay_bursts:
             env.process(
-                self._burst_marker("delay_burst", burst.start, burst.end),
-                name=f"fault-delay-burst-{burst.start}",
+                self._window(burst), name=f"fault-delay-burst-{burst.start}"
             )
 
         for partition in spec.partitions:
@@ -253,7 +244,7 @@ class FaultInjector:
             for model in self._per_client[partition.client_id]:
                 model.windows.append((partition.start, partition.end))
             env.process(
-                self._partition_marker(partition),
+                self._window(partition, client=partition.client_id),
                 name=f"fault-partition-{partition.client_id}",
             )
         for link in self._links:
@@ -281,7 +272,7 @@ class FaultInjector:
                 (sp.start, sp.end)
             )
             env.process(
-                self._shard_partition_marker(sp),
+                self._window(sp, shard=sp.shard),
                 name=f"fault-shard-partition-{sp.shard}",
             )
 
@@ -309,49 +300,30 @@ class FaultInjector:
 
     # -- timed fault processes ---------------------------------------------
 
-    def _burst_marker(
-        self, kind: str, start: float, end: float
-    ) -> _t.Generator:
-        """Track a loss/delay burst window (drops/delays are counted by
-        the link models as messages actually hit the window)."""
+    def _window(self, fault: _t.Any, **where: _t.Any) -> _t.Generator:
+        """Track a windowed fault (loss/delay burst, client or shard
+        partition) from its start to its end.  The drops and delays
+        themselves are counted where messages hit the window: by the
+        link models, or by the cut shard's port."""
         env = self.cluster.env
-        yield env.timeout(max(0.0, start - env.now))
-        if kind == "loss_burst":
-            self.stats.loss_bursts += 1
-        else:
-            self.stats.delay_bursts += 1
-        record = self.tracker.begin(kind, ("net", "*"), env.now, heal_at=end)
-        self._instant(f"{kind}_start", until=end)
-        yield env.timeout(max(0.0, end - env.now))
-        self.tracker.heal(record, env.now)
-        self._instant(f"{kind}_end")
-
-    def _partition_marker(self, partition: Partition) -> _t.Generator:
-        """Emit obs events at the partition edges (drops are counted by
-        the link models as messages actually hit the window)."""
-        env = self.cluster.env
-        yield env.timeout(max(0.0, partition.start - env.now))
+        yield env.timeout(max(0.0, fault.start - env.now))
+        counter = _WINDOW_COUNTERS.get(fault.kind)
+        if counter is not None:
+            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
         record = self.tracker.begin(
-            "partition", ("client", partition.client_id), env.now,
-            heal_at=partition.end,
+            fault.kind, fault.scope, env.now, heal_at=fault.end
         )
-        self._instant(
-            "partition_start", client=partition.client_id,
-            until=partition.end,
-        )
-        yield env.timeout(max(0.0, partition.end - env.now))
+        self._instant(f"{fault.kind}_start", **where, until=fault.end)
+        yield env.timeout(max(0.0, fault.end - env.now))
         self.tracker.heal(record, env.now)
-        self._instant("partition_end", client=partition.client_id)
+        self._instant(f"{fault.kind}_end", **where)
 
     def _mds_restart(self, restart: MdsRestart) -> _t.Generator:
         env = self.cluster.env
         yield env.timeout(max(0.0, restart.at - env.now))
         self.stats.mds_restarts += 1
         record = self.tracker.begin(
-            "mds_restart",
-            ("shard", restart.shard) if restart.shard is not None
-            else ("mds", "*"),
-            env.now,
+            restart.kind, restart.scope, env.now,
             heal_at=env.now + restart.downtime,
         )
         # The server emits point instants (mds_crash/mds_restart); this
@@ -367,20 +339,6 @@ class FaultInjector:
         self.cluster.metadata.restart(shard=restart.shard)
         self.tracker.heal(record, env.now)
 
-    def _shard_partition_marker(self, sp: ShardPartition) -> _t.Generator:
-        """Emit obs events at the shard-partition edges (the drops are
-        counted by the target shard's port as traffic hits the window)."""
-        env = self.cluster.env
-        yield env.timeout(max(0.0, sp.start - env.now))
-        self.stats.shard_partitions += 1
-        record = self.tracker.begin(
-            "shard_partition", ("shard", sp.shard), env.now, heal_at=sp.end
-        )
-        self._instant("shard_partition_start", shard=sp.shard, until=sp.end)
-        yield env.timeout(max(0.0, sp.end - env.now))
-        self.tracker.heal(record, env.now)
-        self._instant("shard_partition_end", shard=sp.shard)
-
     def _client_death(self, death: ClientDeath) -> _t.Generator:
         env = self.cluster.env
         yield env.timeout(max(0.0, death.at - env.now))
@@ -393,10 +351,7 @@ class FaultInjector:
         # Open-ended: the client never comes back.  The record stays
         # active so violations scoped to this client remain excusable
         # (soak heals it once the lease GC has reclaimed the corpse).
-        self.tracker.begin(
-            "client_death", ("client", death.client_id), env.now,
-            permanent=True,
-        )
+        self.tracker.begin(death.kind, death.scope, env.now, permanent=True)
         self.cluster.clients[death.client_id].die()
 
     def _instant(self, name: str, **args: _t.Any) -> None:

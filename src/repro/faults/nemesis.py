@@ -10,9 +10,10 @@ know which violations are excusable).
 :class:`TrackedNemesis` walks the virtual-time horizon in order,
 drawing inject/heal action pairs from every fault family the
 mini-language knows (loss/delay bursts, client partitions, shard
-partitions, MDS restarts, client deaths).  Each
-action is rendered as a canonical clause string, so the whole plan is
-one parseable :class:`~repro.faults.spec.FaultSpec` -- which buys:
+partitions, MDS restarts, client deaths).  Each action carries its
+clause object (:class:`~repro.faults.spec.Clause`: canonical text,
+tracker kind and scope), so the whole plan is one
+:class:`~repro.faults.spec.FaultSpec` -- which buys:
 
 - execution through the battle-tested :class:`FaultInjector` (whose
   timed processes register every action in the shared
@@ -32,6 +33,15 @@ from __future__ import annotations
 import typing as _t
 from dataclasses import dataclass
 
+from repro.faults.spec import (
+    ClientDeath,
+    Clause,
+    DelayBurst,
+    LossBurst,
+    MdsRestart,
+    Partition,
+    ShardPartition,
+)
 from repro.faults.tracking import Scope
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -53,11 +63,9 @@ TAIL_MARGIN = 30.0
 
 @dataclass(frozen=True)
 class NemesisAction:
-    """One planned inject/heal pair, rendered as a replayable clause."""
+    """One planned inject/heal pair around one replayable clause."""
 
-    kind: str
-    clause: str
-    scope: Scope
+    fault: Clause
     start: float
     #: When the fault heals (partition lift, burst end, MDS back up).
     #: For client deaths -- which never "heal" at the
@@ -65,6 +73,18 @@ class NemesisAction:
     #: which lease GC has fenced and reclaimed the corpse, after which
     #: the death stops excusing violations.
     end: float
+
+    @property
+    def kind(self) -> str:
+        return self.fault.kind
+
+    @property
+    def scope(self) -> Scope:
+        return self.fault.scope
+
+    @property
+    def clause(self) -> str:
+        return str(self.fault)
 
     def as_dict(self) -> _t.Dict[str, _t.Any]:
         return {
@@ -133,11 +153,8 @@ class TrackedNemesis:
         """Walk the horizon once and return the chronological plan."""
         rng = self.rng
         actions: _t.List[NemesisAction] = []
-        busy: _t.Dict[_t.Tuple[_t.Any, ...], float] = {}
+        busy: _t.Dict[_t.Tuple[str, _t.Any], float] = {}
         dead: _t.Set[int] = set()
-        # Majority of clients must stay alive for progress detection to
-        # stay meaningful (and the check workload to keep churning).
-        max_deaths = max(0, (self.num_clients - 1) // 2)
 
         families = ["loss_burst", "delay_burst", "partition", "mds_restart"]
         weights = [3.0, 3.0, 3.0, 2.0]
@@ -160,9 +177,6 @@ class TrackedNemesis:
                 actions.append(action)
         return actions
 
-    def clauses(self) -> _t.List[str]:
-        return [action.clause for action in self.sample()]
-
     # -- per-family draws -------------------------------------------------
 
     def _draw(
@@ -170,7 +184,7 @@ class TrackedNemesis:
         family: str,
         t0: float,
         rng: "StreamRNG",
-        busy: _t.Dict[_t.Tuple[_t.Any, ...], float],
+        busy: _t.Dict[_t.Tuple[str, _t.Any], float],
         dead: _t.Set[int],
         deadline: float,
     ) -> _t.Optional[NemesisAction]:
@@ -181,80 +195,47 @@ class TrackedNemesis:
         never perturbs the rest of the plan.
         """
 
-        def emit(
-            kind: str,
-            clause: str,
-            scope: Scope,
-            key: _t.Tuple[_t.Any, ...],
-            end: float,
-        ) -> _t.Optional[NemesisAction]:
-            if busy.get(key, 0.0) > t0 or end > deadline:
+        def emit(fault: Clause, end: float) -> _t.Optional[NemesisAction]:
+            if busy.get(fault.lane, 0.0) > t0 or end > deadline:
                 return None
-            busy[key] = end + CONVERGENCE_GRACE + SCOPE_SLACK
-            return NemesisAction(
-                kind=kind, clause=clause, scope=scope, start=t0, end=end
-            )
+            busy[fault.lane] = end + CONVERGENCE_GRACE + SCOPE_SLACK
+            return NemesisAction(fault=fault, start=t0, end=end)
 
         if family == "loss_burst":
             prob = round(rng.uniform(0.05, 0.3), 3)
             t1 = round(t0 + rng.uniform(1.0, 4.0), 4)
-            return emit(
-                "loss_burst", f"loss={prob!r}@{t0!r}-{t1!r}",
-                ("net", "*"), ("loss_burst",), t1,
-            )
+            return emit(LossBurst(prob, t0, t1), t1)
         if family == "delay_burst":
             prob = round(rng.uniform(0.1, 0.4), 3)
             max_delay = round(rng.uniform(0.002, 0.02), 4)
             t1 = round(t0 + rng.uniform(1.0, 4.0), 4)
-            return emit(
-                "delay_burst",
-                f"delay={prob!r}:{max_delay!r}@{t0!r}-{t1!r}",
-                ("net", "*"), ("delay_burst",), t1,
-            )
+            return emit(DelayBurst(prob, max_delay, t0, t1), t1)
         if family == "partition":
             cid = rng.integers(0, self.num_clients)
             t1 = round(t0 + rng.uniform(2.0, 6.0), 4)
-            if cid in dead:
-                return None  # Partitioning a corpse proves nothing.
-            return emit(
-                "partition", f"partition={cid}@{t0!r}-{t1!r}",
-                ("client", cid), ("partition", cid), t1,
-            )
+            # A corpse's lane is busy forever: partitioning it proves
+            # nothing.
+            return emit(Partition(cid, t0, t1), t1)
         if family == "mds_restart":
             down = round(rng.uniform(0.3, 1.0), 4)
-            if self.shards > 1:
-                sid = rng.integers(0, self.shards)
-                return emit(
-                    "mds_restart",
-                    f"mds_restart@{t0!r}:{down!r}:shard={sid}",
-                    ("shard", sid), ("mds", sid), round(t0 + down, 4),
-                )
-            return emit(
-                "mds_restart", f"mds_restart@{t0!r}:{down!r}",
-                ("mds", "*"), ("mds", "*"), round(t0 + down, 4),
-            )
+            sid = rng.integers(0, self.shards) if self.shards > 1 else None
+            return emit(MdsRestart(t0, down, sid), round(t0 + down, 4))
         if family == "shard_partition":
             sid = rng.integers(0, self.shards)
             t1 = round(t0 + rng.uniform(1.0, 4.0), 4)
-            return emit(
-                "shard_partition", f"shard_partition={sid}@{t0!r}-{t1!r}",
-                ("shard", sid), ("shard_partition", sid), t1,
-            )
+            return emit(ShardPartition(sid, t0, t1), t1)
         if family == "client_death":
             cid = rng.integers(0, self.num_clients)
-            if cid in dead or len(dead) >= max(
-                0, (self.num_clients - 1) // 2
-            ):
+            # A majority of clients must stay alive for progress
+            # detection to stay meaningful (and the workload to churn).
+            if cid in dead or len(dead) >= (self.num_clients - 1) // 2:
                 return None
-            action = emit(
-                "client_death", f"client_death={cid}@{t0!r}",
-                ("client", cid), ("partition", cid),
-                round(t0 + self.death_recovery, 4),
-            )
+            death = ClientDeath(cid, t0)
+            action = emit(death, round(t0 + self.death_recovery, 4))
             if action is not None:
                 dead.add(cid)
-                # The corpse's scope stays busy forever: no point
-                # partitioning it later.
-                busy[("partition", cid)] = float("inf")
+                # The corpse's lane (its partitions') stays busy
+                # forever.
+                busy[death.lane] = float("inf")
             return action
         raise AssertionError(f"unknown family {family!r}")

@@ -42,38 +42,106 @@ replay.  Unknown clause keys are parse errors carrying the offending
 token, so a typo like ``client_deth=0@5`` cannot silently arm
 nothing.  An empty string parses to the empty spec, which injects
 nothing.
-``FaultSpec.serialize`` renders a spec back into this language such that
-``parse(spec.serialize()) == spec``.
+Each clause is a frozen dataclass (:class:`Clause`) and the only home
+of its own text (``str``), time rebase (``shifted``) and tracker
+identity (``kind``, ``scope``).  ``FaultSpec.serialize`` joins the
+clauses' texts such that ``parse(spec.serialize()) == spec``, and
+``FaultSpec.of`` assembles a spec from clause objects.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import re
 import typing as _t
 from dataclasses import dataclass, field
 
+from repro.faults.tracking import CLUSTER_WIDE, Scope
+
+
+class Clause:
+    """One atom of the mini-language; the clause dataclasses below.
+
+    A clause owns everything the rest of the fault plane needs to know
+    about it: ``str(clause)`` is its canonical text (``parse`` reads it
+    back exactly), ``shifted`` rebases it in time, and ``kind`` /
+    ``scope`` are the :class:`~repro.faults.tracking.FaultRecord`
+    vocabulary the injector registers it under when it fires.
+    """
+
+    kind: _t.ClassVar[str]
+    #: Blast radius.  Link-level clauses can hit every RPC.
+    scope: _t.ClassVar[Scope] = ("net", "*")
+    #: The fields holding virtual times (``shifted`` moves them).
+    times: _t.ClassVar[_t.Tuple[str, ...]] = ()
+
+    def __post_init__(self) -> None:
+        if "end" in self.times and not 0 <= self.start < self.end:
+            raise ValueError(
+                f"bad {self.kind} window [{self.start}, {self.end})"
+            )
+
+    @property
+    def lane(self) -> _t.Tuple[str, _t.Union[int, str]]:
+        """Two clauses on one lane must not overlap in time."""
+        return (self.kind, self.scope[1])
+
+    def shifted(self, delta: float) -> "Clause":
+        """This clause ``delta`` seconds earlier, its times rounded to
+        the microsecond; rates and downtimes are unchanged."""
+        return dataclasses.replace(
+            self,  # type: ignore[type-var]
+            **{t: round(getattr(self, t) - delta, 6) for t in self.times},
+        )
+
 
 @dataclass(frozen=True)
-class LossBurst:
+class Loss(Clause):
+    """Background message loss at probability ``prob`` on every link."""
+
+    prob: float
+    kind = "loss"
+
+    def __str__(self) -> str:
+        return f"loss={self.prob!r}"
+
+
+@dataclass(frozen=True)
+class Delay(Clause):
+    """Background delay: a fraction ``prob`` of messages receive
+    uniform(0, ``max_delay``) extra seconds."""
+
+    prob: float
+    max_delay: float
+    kind = "delay"
+
+    def __str__(self) -> str:
+        return f"delay={self.prob!r}:{self.max_delay!r}"
+
+
+@dataclass(frozen=True)
+class LossBurst(Clause):
     """Message loss at probability ``prob`` during ``[start, end)``."""
 
     prob: float
     start: float
     end: float
+    kind = "loss_burst"
+    times = ("start", "end")
 
     def __post_init__(self) -> None:
         if not 0.0 < self.prob < 1.0:
             raise ValueError(
                 f"loss burst probability must be in (0, 1), got {self.prob}"
             )
-        if not 0 <= self.start < self.end:
-            raise ValueError(
-                f"bad loss burst window [{self.start}, {self.end})"
-            )
+        super().__post_init__()
+
+    def __str__(self) -> str:
+        return f"loss={self.prob!r}@{self.start!r}-{self.end!r}"
 
 
 @dataclass(frozen=True)
-class DelayBurst:
+class DelayBurst(Clause):
     """Extra delivery delay during ``[start, end)``: a fraction ``prob``
     of messages receive uniform(0, ``max_delay``) extra seconds."""
 
@@ -81,6 +149,8 @@ class DelayBurst:
     max_delay: float
     start: float
     end: float
+    kind = "delay_burst"
+    times = ("start", "end")
 
     def __post_init__(self) -> None:
         if not 0.0 < self.prob <= 1.0:
@@ -91,31 +161,40 @@ class DelayBurst:
             raise ValueError(
                 f"delay burst needs a positive max delay, got {self.max_delay}"
             )
-        if not 0 <= self.start < self.end:
-            raise ValueError(
-                f"bad delay burst window [{self.start}, {self.end})"
-            )
+        super().__post_init__()
+
+    def __str__(self) -> str:
+        return (
+            f"delay={self.prob!r}:{self.max_delay!r}"
+            f"@{self.start!r}-{self.end!r}"
+        )
 
 
 @dataclass(frozen=True)
-class Partition:
+class Partition(Clause):
     """One client's network cut off during ``[start, end)``."""
 
     client_id: int
     start: float
     end: float
+    kind = "partition"
+    times = ("start", "end")
 
     def __post_init__(self) -> None:
         if self.client_id < 0:
             raise ValueError(f"bad client id {self.client_id}")
-        if not 0 <= self.start < self.end:
-            raise ValueError(
-                f"bad partition window [{self.start}, {self.end})"
-            )
+        super().__post_init__()
+
+    @property
+    def scope(self) -> Scope:  # type: ignore[override]
+        return ("client", self.client_id)
+
+    def __str__(self) -> str:
+        return f"partition={self.client_id}@{self.start!r}-{self.end!r}"
 
 
 @dataclass(frozen=True)
-class MdsRestart:
+class MdsRestart(Clause):
     """MDS crash at ``at``, restart ``downtime`` seconds later.
 
     ``shard`` narrows the crash to one metadata shard of a sharded
@@ -126,6 +205,8 @@ class MdsRestart:
     at: float
     downtime: float
     shard: _t.Optional[int] = None
+    kind = "mds_restart"
+    times = ("at",)
 
     def __post_init__(self) -> None:
         if self.at < 0 or self.downtime <= 0:
@@ -135,36 +216,142 @@ class MdsRestart:
         if self.shard is not None and self.shard < 0:
             raise ValueError(f"bad mds_restart shard {self.shard}")
 
+    @property
+    def scope(self) -> Scope:  # type: ignore[override]
+        return ("mds", "*") if self.shard is None else ("shard", self.shard)
+
+    def __str__(self) -> str:
+        suffix = "" if self.shard is None else f":shard={self.shard}"
+        return f"mds_restart@{self.at!r}:{self.downtime!r}{suffix}"
+
 
 @dataclass(frozen=True)
-class ShardPartition:
+class ShardPartition(Clause):
     """Metadata shard ``shard`` cut off from all clients in [start, end)."""
 
     shard: int
     start: float
     end: float
+    kind = "shard_partition"
+    times = ("start", "end")
 
     def __post_init__(self) -> None:
         if self.shard < 0:
             raise ValueError(f"bad shard id {self.shard}")
-        if not 0 <= self.start < self.end:
-            raise ValueError(
-                f"bad shard_partition window [{self.start}, {self.end})"
-            )
+        super().__post_init__()
+
+    @property
+    def scope(self) -> Scope:  # type: ignore[override]
+        return ("shard", self.shard)
+
+    def __str__(self) -> str:
+        return f"shard_partition={self.shard}@{self.start!r}-{self.end!r}"
 
 
 @dataclass(frozen=True)
-class ClientDeath:
+class ClientDeath(Clause):
     """Client ``client_id`` dies at ``at`` and never comes back."""
 
     client_id: int
     at: float
+    kind = "client_death"
+    times = ("at",)
 
     def __post_init__(self) -> None:
         if self.client_id < 0 or self.at < 0:
             raise ValueError(
                 f"bad client_death client={self.client_id} at={self.at}"
             )
+
+    @property
+    def scope(self) -> Scope:  # type: ignore[override]
+        return ("client", self.client_id)
+
+    @property
+    def lane(self) -> _t.Tuple[str, _t.Union[int, str]]:
+        """A death is a partition that never lifts: it shares the
+        client's partition lane."""
+        return ("partition", self.client_id)
+
+    def __str__(self) -> str:
+        return f"client_death={self.client_id}@{self.at!r}"
+
+
+@dataclass(frozen=True)
+class Crash(Clause):
+    """Whole-cluster crash at ``at`` (enacted by the harness)."""
+
+    at: float
+    kind = "crash"
+    scope = CLUSTER_WIDE
+    times = ("at",)
+
+    def __str__(self) -> str:
+        return f"crash@{self.at!r}"
+
+
+def _window(text: str) -> _t.Tuple[float, float]:
+    # Split on the window separator only, not the "-" of a
+    # scientific-notation exponent (e.g. "1e-05-0.5").
+    start, end = re.split(r"(?<![eE])-", text)
+    return float(start), float(end)
+
+
+def _read_loss(body: str) -> Clause:
+    prob, burst, window = body.partition("@")
+    if burst:
+        return LossBurst(float(prob), *_window(window))
+    return Loss(float(prob))
+
+
+def _read_delay(body: str) -> Clause:
+    rates, burst, window = body.partition("@")
+    prob, max_delay = rates.split(":")
+    if burst:
+        return DelayBurst(float(prob), float(max_delay), *_window(window))
+    return Delay(float(prob), float(max_delay))
+
+
+def _read_who_at(cls: _t.Any) -> _t.Callable[[str], Clause]:
+    """A reader of ``ID@T0-T1`` (a window) or ``ID@T`` (an instant)."""
+
+    def read(body: str) -> Clause:
+        who, when = body.split("@")
+        times = _window(when) if "end" in cls.times else (float(when),)
+        return cls(int(who), *times)
+
+    return read
+
+
+def _read_mds_restart(body: str) -> Clause:
+    at, downtime, *rest = body.split(":")
+    if len(rest) > 1 or (rest and not rest[0].startswith("shard=")):
+        raise ValueError(f"expected mds_restart@T:D[:shard=K], got {body!r}")
+    shard = int(rest[0][len("shard="):]) if rest else None
+    return MdsRestart(float(at), float(downtime), shard)
+
+
+_READERS: _t.Dict[str, _t.Callable[[str], Clause]] = {
+    "loss=": _read_loss,
+    "delay=": _read_delay,
+    "partition=": _read_who_at(Partition),
+    "mds_restart@": _read_mds_restart,
+    "shard_partition=": _read_who_at(ShardPartition),
+    "client_death=": _read_who_at(ClientDeath),
+    "crash@": lambda body: Crash(float(body)),
+}
+
+
+def _parse_clause(text: str) -> Clause:
+    """One clause atom (``"partition=2@0.1-0.3"``) as its object."""
+    head = re.match(r"\w+[=@]", text)
+    read = _READERS.get(head.group()) if head else None
+    if read is None:
+        raise ValueError(f"unknown fault clause {text!r}")
+    try:
+        return read(text[head.end():])
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"malformed fault clause {text!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -217,20 +404,12 @@ class FaultSpec:
         The nemesis never generates them; hand-written specs get a
         validation error instead of silently merged behaviour.
         """
-        windows: _t.List[_t.Tuple[_t.Any, float, float]] = []
-        for p in self.partitions:
-            windows.append((("partition", p.client_id), p.start, p.end))
-        for sp in self.shard_partitions:
-            windows.append(
-                (("shard_partition", sp.shard), sp.start, sp.end)
-            )
-        for lb in self.loss_bursts:
-            windows.append((("loss_burst", "*"), lb.start, lb.end))
-        for db in self.delay_bursts:
-            windows.append((("delay_burst", "*"), db.start, db.end))
         by_scope: _t.Dict[_t.Any, _t.List[_t.Tuple[float, float]]] = {}
-        for scope, start, end in windows:
-            by_scope.setdefault(scope, []).append((start, end))
+        for c in (
+            *self.partitions, *self.shard_partitions,
+            *self.loss_bursts, *self.delay_bursts,
+        ):
+            by_scope.setdefault(c.lane, []).append((c.start, c.end))
         for scope, spans in by_scope.items():
             spans.sort()
             for (s0, e0), (s1, _e1) in zip(spans, spans[1:]):
@@ -257,139 +436,57 @@ class FaultSpec:
         harness that drives the run, not by ``FaultInjector``, so a spec
         carrying only a crash still takes the unperturbed fast path.
         """
-        return (
-            self.loss == 0.0
-            and self.delay_prob == 0.0
-            and not self.partitions
-            and not self.mds_restarts
-            and not self.client_deaths
-            and not self.shard_partitions
-            and not self.loss_bursts
-            and not self.delay_bursts
+        return all(isinstance(c, Crash) for c in self.clauses())
+
+    def clauses(self) -> _t.List[Clause]:
+        """Every clause, in the order ``serialize`` writes them."""
+        scalars: _t.List[Clause] = []
+        if self.loss:
+            scalars.append(Loss(self.loss))
+        if self.delay_prob:
+            scalars.append(Delay(self.delay_prob, self.delay_max))
+        crash = [] if self.crash_at is None else [Crash(self.crash_at)]
+        return [
+            *scalars, *self.loss_bursts, *self.delay_bursts,
+            *self.partitions, *self.mds_restarts, *self.client_deaths,
+            *self.shard_partitions, *crash,
+        ]
+
+    @classmethod
+    def of(cls, clauses: _t.Iterable[Clause]) -> "FaultSpec":
+        """The spec holding exactly ``clauses``, given in any order."""
+        groups: _t.Dict[type, _t.List[_t.Any]] = {}
+        for clause in clauses:
+            group = groups.setdefault(type(clause), [])
+            if group and isinstance(clause, (Loss, Delay, Crash)):
+                raise ValueError(
+                    f"malformed fault clause {str(clause)!r}: duplicate "
+                    f"{clause.kind} clause (at most one {clause.kind} "
+                    "per spec)"
+                )
+            group.append(clause)
+        loss, delay, crash = (
+            groups.get(t, [None])[0] for t in (Loss, Delay, Crash)
+        )
+        return cls(
+            loss=loss.prob if loss is not None else 0.0,
+            delay_prob=delay.prob if delay is not None else 0.0,
+            delay_max=delay.max_delay if delay is not None else 0.0,
+            partitions=tuple(groups.get(Partition, ())),
+            mds_restarts=tuple(groups.get(MdsRestart, ())),
+            client_deaths=tuple(groups.get(ClientDeath, ())),
+            shard_partitions=tuple(groups.get(ShardPartition, ())),
+            loss_bursts=tuple(groups.get(LossBurst, ())),
+            delay_bursts=tuple(groups.get(DelayBurst, ())),
+            crash_at=crash.at if crash is not None else None,
         )
 
     @classmethod
     def parse(cls, text: str) -> "FaultSpec":
         """Parse the ``--faults`` mini-language (see module docstring)."""
-        loss: _t.Optional[float] = None
-        delay: _t.Optional[_t.Tuple[float, float]] = None
-        loss_bursts: _t.List[LossBurst] = []
-        delay_bursts: _t.List[DelayBurst] = []
-        partitions: _t.List[Partition] = []
-        mds_restarts: _t.List[MdsRestart] = []
-        client_deaths: _t.List[ClientDeath] = []
-        shard_partitions: _t.List[ShardPartition] = []
-        crash_at: _t.Optional[float] = None
-        for raw in text.split(","):
-            clause = raw.strip()
-            if not clause:
-                continue
-            try:
-                if clause.startswith("loss="):
-                    body = clause[len("loss="):]
-                    if "@" in body:
-                        prob_s, window = body.split("@")
-                        start_s, end_s = re.split(r"(?<![eE])-", window)
-                        loss_bursts.append(
-                            LossBurst(
-                                prob=float(prob_s),
-                                start=float(start_s),
-                                end=float(end_s),
-                            )
-                        )
-                    else:
-                        if loss is not None:
-                            raise ValueError("duplicate loss clause")
-                        loss = float(body)
-                elif clause.startswith("delay="):
-                    body = clause[len("delay="):]
-                    if "@" in body:
-                        rates, window = body.split("@")
-                        prob_s, max_s = rates.split(":")
-                        start_s, end_s = re.split(r"(?<![eE])-", window)
-                        delay_bursts.append(
-                            DelayBurst(
-                                prob=float(prob_s),
-                                max_delay=float(max_s),
-                                start=float(start_s),
-                                end=float(end_s),
-                            )
-                        )
-                    else:
-                        if delay is not None:
-                            raise ValueError("duplicate delay clause")
-                        prob_s, max_s = body.split(":")
-                        delay = (float(prob_s), float(max_s))
-                elif clause.startswith("partition="):
-                    cid_s, window = clause[len("partition="):].split("@")
-                    # Split on the window separator only, not the "-" of a
-                    # scientific-notation exponent (e.g. "1e-05-0.5").
-                    start_s, end_s = re.split(r"(?<![eE])-", window)
-                    partitions.append(
-                        Partition(
-                            client_id=int(cid_s),
-                            start=float(start_s),
-                            end=float(end_s),
-                        )
-                    )
-                elif clause.startswith("mds_restart@"):
-                    parts = clause[len("mds_restart@"):].split(":")
-                    shard: _t.Optional[int] = None
-                    if len(parts) == 3:
-                        if not parts[2].startswith("shard="):
-                            raise ValueError(
-                                f"expected shard=K, got {parts[2]!r}"
-                            )
-                        shard = int(parts[2][len("shard="):])
-                    elif len(parts) != 2:
-                        raise ValueError("expected mds_restart@T:D[:shard=K]")
-                    mds_restarts.append(
-                        MdsRestart(
-                            at=float(parts[0]),
-                            downtime=float(parts[1]),
-                            shard=shard,
-                        )
-                    )
-                elif clause.startswith("shard_partition="):
-                    sid_s, window = clause[len("shard_partition="):].split(
-                        "@"
-                    )
-                    start_s, end_s = re.split(r"(?<![eE])-", window)
-                    shard_partitions.append(
-                        ShardPartition(
-                            shard=int(sid_s),
-                            start=float(start_s),
-                            end=float(end_s),
-                        )
-                    )
-                elif clause.startswith("client_death="):
-                    cid_s, at_s = clause[len("client_death="):].split("@")
-                    client_deaths.append(
-                        ClientDeath(client_id=int(cid_s), at=float(at_s))
-                    )
-                elif clause.startswith("crash@"):
-                    if crash_at is not None:
-                        raise ValueError("at most one crash clause")
-                    crash_at = float(clause[len("crash@"):])
-                else:
-                    raise ValueError(f"unknown fault clause {clause!r}")
-            except (ValueError, TypeError) as exc:
-                if "unknown fault clause" in str(exc):
-                    raise
-                raise ValueError(
-                    f"malformed fault clause {clause!r}: {exc}"
-                ) from exc
-        return cls(
-            loss=loss if loss is not None else 0.0,
-            delay_prob=delay[0] if delay is not None else 0.0,
-            delay_max=delay[1] if delay is not None else 0.0,
-            partitions=tuple(partitions),
-            mds_restarts=tuple(mds_restarts),
-            client_deaths=tuple(client_deaths),
-            shard_partitions=tuple(shard_partitions),
-            loss_bursts=tuple(loss_bursts),
-            delay_bursts=tuple(delay_bursts),
-            crash_at=crash_at,
+        return cls.of(
+            _parse_clause(raw.strip()) for raw in text.split(",")
+            if raw.strip()
         )
 
     def serialize(self) -> str:
@@ -398,32 +495,11 @@ class FaultSpec:
         ``FaultSpec.parse(spec.serialize()) == spec`` for every spec;
         floats are emitted with ``repr`` so round-trips are exact.
         """
-        clauses: _t.List[str] = []
-        if self.loss:
-            clauses.append(f"loss={self.loss!r}")
-        if self.delay_prob:
-            clauses.append(f"delay={self.delay_prob!r}:{self.delay_max!r}")
-        for lb in self.loss_bursts:
-            clauses.append(f"loss={lb.prob!r}@{lb.start!r}-{lb.end!r}")
-        for db in self.delay_bursts:
-            clauses.append(
-                f"delay={db.prob!r}:{db.max_delay!r}"
-                f"@{db.start!r}-{db.end!r}"
-            )
-        for p in self.partitions:
-            clauses.append(f"partition={p.client_id}@{p.start!r}-{p.end!r}")
-        for r in self.mds_restarts:
-            suffix = "" if r.shard is None else f":shard={r.shard}"
-            clauses.append(f"mds_restart@{r.at!r}:{r.downtime!r}{suffix}")
-        for d in self.client_deaths:
-            clauses.append(f"client_death={d.client_id}@{d.at!r}")
-        for sp in self.shard_partitions:
-            clauses.append(
-                f"shard_partition={sp.shard}@{sp.start!r}-{sp.end!r}"
-            )
-        if self.crash_at is not None:
-            clauses.append(f"crash@{self.crash_at!r}")
-        return ",".join(clauses)
+        return ",".join(map(str, self.clauses()))
+
+    def shifted(self, delta: float) -> "FaultSpec":
+        """Every clause ``delta`` seconds earlier (``Clause.shifted``)."""
+        return FaultSpec.of(c.shifted(delta) for c in self.clauses())
 
     @classmethod
     def random(

@@ -105,12 +105,11 @@ def shape_error(
             if used:
                 return f"{flag} supports the redbud systems only"
     if processes is not None and faults is not None and faults.client_deaths:
-        death = faults.client_deaths[0]
         return (
             "--processes cannot be combined with a --faults spec "
             "containing client_death clauses (offending clause: "
-            f"client_death={death.client_id}@{death.at!r}; client "
-            "indexing assumes one node per client)"
+            f"{faults.client_deaths[0]}; client indexing assumes one "
+            "node per client)"
         )
     return None
 

@@ -30,7 +30,10 @@ from repro.net.rpc import RpcClient, RpcServerPort, RpcTransport
 from repro.sim import Environment
 from repro.storage.blockdev import BlockDevice
 from repro.storage.cache import PageCache
-from repro.storage.disk import DiskArray, DiskParameters
+from repro.storage.disk import DiskArray
+
+#: The stripe unit the cluster's clients use: 1 MiB.
+STRIPE_SIZE = 1024 * 1024
 
 
 @dataclass
@@ -342,14 +345,12 @@ class Pvfs2Cluster(BaseCluster):
         self,
         config: ClusterConfig,
         seed: int = 0,
-        num_data_servers: _t.Optional[int] = None,
-        stripe_size: int = 1024 * 1024,
         obs: _t.Optional[_t.Any] = None,
     ) -> None:
         super().__init__(Environment(), seed=seed, obs=obs)
         self.config = config
         env = self.env
-        n_servers = num_data_servers or config.client_nodes
+        n_servers = config.client_nodes  # one data server per client node
 
         self.meta = Pvfs2MetaServer(env, config.link)
         # All data servers share the testbed's FC disk array, each owning
@@ -388,7 +389,7 @@ class Pvfs2Cluster(BaseCluster):
             ]
             self.clients.append(
                 Pvfs2Client(
-                    env, cid, meta_rpc, data_rpcs, stripe_size=stripe_size
+                    env, cid, meta_rpc, data_rpcs, stripe_size=STRIPE_SIZE
                 )
             )
 

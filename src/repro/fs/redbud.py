@@ -44,6 +44,7 @@ from repro.mds.sharding import (
 )
 from repro.net.link import Link
 from repro.net.rpc import RpcClient, RpcServerPort, RpcTransport
+from repro.obs.instrument import _mean
 from repro.sim import Environment
 from repro.storage.blockdev import BlockDevice
 from repro.storage.blktrace import BlkTrace
@@ -298,8 +299,3 @@ class RedbudCluster(BaseCluster):
     def settle(self, grace: float = 2.0) -> None:
         """Let in-flight background work land (before crash/consistency)."""
         self.env.run(until=self.env.now + grace)
-
-
-def _mean(values: _t.Iterable[float]) -> float:
-    items = list(values)
-    return sum(items) / len(items) if items else 0.0

@@ -61,6 +61,15 @@ def test_probe_budget_caps_work():
 
 
 def test_single_clause_input():
-    minimal, probes = ddmin(["only"], lambda s: "only" in s)
+    calls = []
+
+    def fails(subset):
+        calls.append(list(subset))
+        return "only" in subset
+
+    minimal, probes = ddmin(["only"], fails)
     assert minimal == ["only"]
     assert probes == 0
+    # One clause is already minimal: no run at all, not even the
+    # initial check.
+    assert calls == []
